@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .core import Allocation, Bundle, InputError, Instance, bundle_value
-from .maximin import _scale, maximin_exceeds
+from .maximin import _agent_ints, _violated_group
 
 
 class PolicyError(ValueError):
@@ -217,15 +217,6 @@ class SearchResult:
         return doc
 
 
-def _int_rows(instance: Instance):
-    """Per-agent integer-scaled valuation rows (exact)."""
-    rows = []
-    for row in instance.valuations:
-        denom = _scale(row) if row else 1
-        rows.append([int(v * denom) for v in row])
-    return rows
-
-
 def _is_efx_fast(rows, vecs_by_agent, sums) -> bool:
     """EFX over integer-scaled rows; sums[i][j] = agent i's value of bundle j."""
     n = len(rows)
@@ -242,17 +233,11 @@ def _is_efx_fast(rows, vecs_by_agent, sums) -> bool:
     return True
 
 
-def _passes_gmms(instance, bundles, own_values) -> bool:
-    from .maximin import iter_groups
-    n = instance.num_agents
-    for i in range(n):
-        for group in iter_groups(n, i):
-            if any(j != i and not bundles[j] for j in group):
-                continue
-            pooled = frozenset().union(*(bundles[j] for j in group))
-            if maximin_exceeds(instance, i, pooled, len(group), own_values[i]):
-                return False
-    return True
+def _passes_gmms(agents, bundles, sums) -> bool:
+    """GMMS over integer rows: agents[i] = _agent_ints(instance, i), and
+    sums[i][i] is agent i's own value in the same units."""
+    return all(_violated_group(ints, order, bundles, i, sums[i][i]) is None
+               for i, (_, ints, order) in enumerate(agents))
 
 
 def exact_gmms_search(instance: Instance, budget: Optional[int] = None) -> SearchResult:
@@ -264,7 +249,8 @@ def exact_gmms_search(instance: Instance, budget: Optional[int] = None) -> Searc
     computations run.
     """
     n, m = instance.num_agents, instance.num_goods
-    rows = _int_rows(instance)
+    agents = [_agent_ints(instance, i) for i in range(n)]
+    rows = [ints for _, ints, _ in agents]
     vec = [0] * m
     sums = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -279,8 +265,7 @@ def exact_gmms_search(instance: Instance, budget: Optional[int] = None) -> Searc
             by_agent[a].append(g)
         if _is_efx_fast(rows, by_agent, sums):
             bundles = tuple(frozenset(b) for b in by_agent)
-            own = [bundle_value(instance, i, bundles[i]) for i in range(n)]
-            if _passes_gmms(instance, bundles, own):
+            if _passes_gmms(agents, bundles, sums):
                 return SearchResult("found", Allocation(bundles), examined)
         # advance the assignment odometer (last good varies fastest)
         pos = m - 1

@@ -182,10 +182,16 @@ def experiment_row(n: int, m: int, dist: str, sop: bool, seed: int,
     t0 = time.perf_counter()
     allocation = algorithms.efl_allocate(instance)
     factor = fairness.gmms_factor(instance, allocation)
-    efl_ok = fairness.is_efl(instance, allocation).holds
+    efl = fairness.is_efl(instance, allocation)
     t_efl = int((time.perf_counter() - t0) * 1e6)
-    if efl_ok and factor is not None:
-        assert factor >= Fraction(1, 2)
+    # Both are guarantees of the allocator: a row breaking one is a bug to
+    # report, never a data point.
+    if not efl.holds:
+        raise RuntimeError(f"efl_allocate broke EFL on {spec}: "
+                           f"{json.dumps(efl.to_doc())}")
+    if factor is not None and factor < Fraction(1, 2):
+        raise RuntimeError(f"efl_allocate fell below half a groupwise share "
+                           f"on {spec}: factor {factor}")
     t0 = time.perf_counter()
     search = algorithms.exact_gmms_search(instance, budget)
     t_search = int((time.perf_counter() - t0) * 1e6)
@@ -197,7 +203,21 @@ def experiment_row(n: int, m: int, dist: str, sop: bool, seed: int,
             "t_efl_us": t_efl, "t_search_us": t_search}
 
 
+def _workers() -> int:
+    """Experiment worker processes from GMMS_WORKERS (default 1)."""
+    text = os.environ.get("GMMS_WORKERS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise UsageError(f"GMMS_WORKERS must be a positive integer, got {text!r}")
+    return workers
+
+
 def cmd_experiment(args) -> int:
+    # read before any output, so a bad value leaves no partial CSV
+    workers = _workers()
     if args.n_min < 1 or args.n_max < args.n_min or args.m_max < args.m_min:
         raise UsageError("invalid n/m ranges")
     cells = [(n, m) for n in range(args.n_min, args.n_max + 1)
@@ -212,7 +232,6 @@ def cmd_experiment(args) -> int:
     out.write(f"# schema {CSV_SCHEMA} rng={generator.RNG_NAME}\n")
     writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS)
     writer.writeheader()
-    workers = int(os.environ.get("GMMS_WORKERS", "1"))
     if workers > 1 and jobs:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -174,6 +174,11 @@ def _value_literal(v: Fraction):
     return f"{v.numerator}/{v.denominator}"
 
 
+def _is_json_int(x) -> bool:
+    """A JSON integer; true/false decode to bool, which subclasses int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_instance(text) -> Instance:
     """Parse an instance document: {"agents": n, "goods": m, "valuations": [[..]]}.
 
@@ -191,9 +196,9 @@ def parse_instance(text) -> Instance:
         if field not in doc:
             raise ParseError(f"missing field {field!r}")
     n, m, rows = doc["agents"], doc["goods"], doc["valuations"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_json_int(n) or n < 1:
         raise ParseError(f"field 'agents' must be a positive integer, got {n!r}")
-    if not isinstance(m, int) or m < 0:
+    if not _is_json_int(m) or m < 0:
         raise ParseError(f"field 'goods' must be a nonnegative integer, got {m!r}")
     if not isinstance(rows, list) or len(rows) != n:
         raise ParseError(f"field 'valuations' must list {n} rows")
@@ -231,7 +236,7 @@ def parse_allocation(text) -> Allocation:
     if not isinstance(bundles, list):
         raise ParseError("field 'bundles' must be a list")
     for i, b in enumerate(bundles):
-        if not isinstance(b, list) or not all(isinstance(g, int) and g >= 0 for g in b):
+        if not isinstance(b, list) or not all(_is_json_int(g) and g >= 0 for g in b):
             raise ParseError(f"bundles[{i}] must list nonnegative good indices")
     try:
         return Allocation.from_lists(bundles)

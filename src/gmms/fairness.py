@@ -7,12 +7,12 @@ witness whose inequality re-evaluates exactly as reported.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
 from .core import Allocation, InputError, Instance, bundle_value
-from .maximin import (gmms_threshold, iter_groups, maximin_exceeds,
+from .maximin import (_agent_ints, _exceeds, _violated_group, gmms_threshold,
                       maximin_share, mms)
 
 
@@ -27,7 +27,7 @@ class Notion(str, enum.Enum):
     GMMS = "GMMS"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     """A concrete counterexample: lhs < rhs for the reported comparison."""
 
@@ -49,7 +49,7 @@ class Violation:
         return doc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FairnessReport:
     notion: Notion
     holds: bool
@@ -154,34 +154,52 @@ def is_efl(instance: Instance, allocation: Allocation) -> FairnessReport:
     return FairnessReport(Notion.EFL, True)
 
 
+def _int_own(instance: Instance, allocation: Allocation, agent: int):
+    """(ints, order, own, lhs): the agent's integer row and positive goods in
+    descending order (see maximin._agent_ints), and the agent's own value in
+    those integer units and as a Fraction."""
+    denom, ints, order = _agent_ints(instance, agent)
+    own = sum(ints[g] for g in allocation.bundles[agent])
+    return ints, order, own, Fraction(own, denom)
+
+
+def _group_violation(instance: Instance, allocation: Allocation,
+                     size: Optional[int] = None) -> Optional[Violation]:
+    """First agent and group (of `size`, or of any size) whose pooled share
+    exceeds the agent's own value; only that group's witness is computed."""
+    for i in range(instance.num_agents):
+        ints, order, own, lhs = _int_own(instance, allocation, i)
+        found = _violated_group(ints, order, allocation.bundles, i, own, size)
+        if found is not None:
+            group, pooled = found
+            result = maximin_share(instance, i, pooled, len(group))
+            return Violation(i, group, partition=result.witness,
+                             lhs=lhs, rhs=result.value)
+    return None
+
+
 def is_mms(instance: Instance, allocation: Allocation) -> FairnessReport:
     """Every agent's bundle clears her grand-bundle maximin share."""
     _require_complete(instance, allocation)
-    own = _own_values(instance, allocation)
+    everything = instance.all_goods()
     for i in range(instance.num_agents):
-        result = mms(instance, i)
-        if own[i] < result.value:
+        ints, order, own, lhs = _int_own(instance, allocation, i)
+        if _exceeds(ints, order, everything, instance.num_agents, own):
+            result = mms(instance, i)
             return FairnessReport(Notion.MMS, False,
                                   Violation(i, partition=result.witness,
-                                            lhs=own[i], rhs=result.value))
+                                            lhs=lhs, rhs=result.value))
     return FairnessReport(Notion.MMS, True)
 
 
 def is_pmms(instance: Instance, allocation: Allocation) -> FairnessReport:
     """Every agent clears her 2-part share over her own plus any other bundle."""
     _require_complete(instance, allocation)
-    own = _own_values(instance, allocation)
-    for i in range(instance.num_agents):
-        for j in range(instance.num_agents):
-            if i == j:
-                continue
-            pooled = allocation.bundles[i] | allocation.bundles[j]
-            if maximin_exceeds(instance, i, pooled, 2, own[i]):
-                result = maximin_share(instance, i, pooled, 2)
-                return FairnessReport(Notion.PMMS, False,
-                                      Violation(i, (j,), partition=result.witness,
-                                                lhs=own[i], rhs=result.value))
-    return FairnessReport(Notion.PMMS, True)
+    witness = _group_violation(instance, allocation, 2)
+    if witness is None:
+        return FairnessReport(Notion.PMMS, True)
+    other = tuple(j for j in witness.other if j != witness.agent)
+    return FairnessReport(Notion.PMMS, False, replace(witness, other=other))
 
 
 def is_kwise_fair(instance: Instance, allocation: Allocation, k: int) -> FairnessReport:
@@ -189,17 +207,8 @@ def is_kwise_fair(instance: Instance, allocation: Allocation, k: int) -> Fairnes
     _require_complete(instance, allocation)
     if not 1 <= k <= instance.num_agents:
         raise InputError(f"k must be in [1, {instance.num_agents}], got {k}")
-    own = _own_values(instance, allocation)
-    for i in range(instance.num_agents):
-        for group in iter_groups(instance.num_agents, i, size=k):
-            pooled = frozenset().union(*(allocation.bundles[j] for j in group))
-            if maximin_exceeds(instance, i, pooled, k, own[i]):
-                result = maximin_share(instance, i, pooled, k)
-                return FairnessReport(Notion.KWISE, False,
-                                      Violation(i, group, partition=result.witness,
-                                                lhs=own[i], rhs=result.value),
-                                      k=k)
-    return FairnessReport(Notion.KWISE, True, k=k)
+    witness = _group_violation(instance, allocation, k)
+    return FairnessReport(Notion.KWISE, witness is None, witness, k=k)
 
 
 def is_gmms(instance: Instance, allocation: Allocation) -> FairnessReport:
@@ -209,18 +218,8 @@ def is_gmms(instance: Instance, allocation: Allocation) -> FairnessReport:
     the same goods into fewer parts, so its share dominates.
     """
     _require_complete(instance, allocation)
-    own = _own_values(instance, allocation)
-    for i in range(instance.num_agents):
-        for group in iter_groups(instance.num_agents, i):
-            if any(j != i and not allocation.bundles[j] for j in group):
-                continue
-            pooled = frozenset().union(*(allocation.bundles[j] for j in group))
-            if maximin_exceeds(instance, i, pooled, len(group), own[i]):
-                result = maximin_share(instance, i, pooled, len(group))
-                return FairnessReport(Notion.GMMS, False,
-                                      Violation(i, group, partition=result.witness,
-                                                lhs=own[i], rhs=result.value))
-    return FairnessReport(Notion.GMMS, True)
+    witness = _group_violation(instance, allocation)
+    return FairnessReport(Notion.GMMS, witness is None, witness)
 
 
 def gmms_factor(instance: Instance, allocation: Allocation) -> Optional[Fraction]:

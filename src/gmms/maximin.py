@@ -1,22 +1,27 @@
 """Exact maximin-share computation.
 
-``maximin_share`` is the production search: integer-scaled branch-and-bound
-over restricted-growth assignments with a water-filling upper bound.
-``maximin_share_naive`` is the unpruned enumeration oracle used to cross-check
-it. ``gmms_threshold`` maximizes the share over all agent groups of a complete
-allocation.
+Every share runs on one integer kernel. ``_agent_ints`` scales an agent's
+row once by the lcm D of its denominators, so all of that agent's shares,
+over any pool of goods, are integers in units of 1/D. ``_best_partition`` is
+the single branch-and-bound over restricted-growth assignments with a
+water-filling bound: it looks for a partition whose min beats a floor and
+stops at a goal. ``maximin_share`` and ``mms`` use its optimisation form,
+``maximin_exceeds`` and the fairness checkers its decision form (floor t,
+goal t+1), and ``gmms_threshold`` passes the best share so far as the floor,
+so groups that cannot beat it cost no search. Fractions appear only in
+results. ``maximin_share_naive`` is the unpruned enumeration oracle used to
+cross-check it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Optional
+from typing import Optional
 
-from .core import (Allocation, Bundle, Fraction, InputError, Instance,
-                   bundle_value, check_bundle)
+from .core import Allocation, Bundle, InputError, Instance, check_bundle
 
 NAIVE_GOODS_LIMIT = 14
 
@@ -42,11 +47,22 @@ class GmmsThreshold:
     witness_partition: tuple  # of Bundle
 
 
-def _scale(values: Iterable[Fraction]) -> int:
-    denom = 1
-    for v in values:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    return denom
+def _agent_ints(instance: Instance, agent: int):
+    """One agent's row in integer units: (D, ints, order).
+
+    D is the lcm of the row's denominators, ``ints[g] = v_g * D`` exactly, and
+    ``order`` lists the positively valued goods by descending value (index
+    tiebreak). Every share of this agent, over any pool, is an integer
+    multiple of 1/D, so shares of different pools compare as integers.
+    """
+    if not 0 <= agent < instance.num_agents:
+        raise InputError(f"agent index {agent} out of range")
+    row = instance.valuations[agent]
+    denom = math.lcm(*(v.denominator for v in row))
+    ints = [v.numerator * (denom // v.denominator) for v in row]
+    order = sorted((g for g in range(len(ints)) if ints[g] > 0),
+                   key=lambda g: (-ints[g], g))
+    return denom, ints, order
 
 
 def _waterfill_ok(sums, floor_level, remaining) -> bool:
@@ -75,21 +91,38 @@ def _lpt_seed(vals, k):
     return min(sums), assign
 
 
-def _max_min_partition(vals, k):
-    """Exact max-min k-partition of positive integers (descending order).
+def _best_partition(vals, k, floor=-1, goal=None):
+    """Best k-partition of positive integers `vals` (descending) above `floor`.
 
-    Returns (best_min, assignment). Restricted-growth canonical form plus
-    equal-sum skipping kill bundle symmetry; subtrees that cannot beat the
-    incumbent (by water-filling) are pruned.
+    Returns (best_min, assignment) for a partition with min > floor, stopping
+    as soon as the min reaches `goal` (default: the averaging cap, the largest
+    multiple of gcd(vals) <= total/k, which bounds the optimum). Returns
+    (floor, None) when no partition beats `floor`. The optimisation form is
+    the default; the decision form "is the optimum > t?" is floor=t,
+    goal=t+1. Restricted-growth canonical form plus equal-sum skipping kill
+    bundle symmetry; subtrees that cannot beat the incumbent (by
+    water-filling) are pruned. All pruning is sound for strict improvement,
+    so in the optimisation form the witness is the LPT seed when that is
+    optimal, else the first optimal leaf in search order, whatever the floor.
     """
     p = len(vals)
+    if p < k:
+        return (0, list(range(p))) if floor < 0 else (floor, None)
     suffix = [0] * (p + 1)
     for i in range(p - 1, -1, -1):
         suffix[i] = suffix[i + 1] + vals[i]
-    cap = suffix[0] // k  # averaging bound: optimum <= floor(total/k)
-    best, best_assign = _lpt_seed(vals, k)
-    if best >= cap:
-        return best, best_assign
+    step = math.gcd(*vals)
+    cap = suffix[0] // (k * step) * step
+    if cap <= floor:
+        return floor, None
+    if goal is None:
+        goal = cap
+    best, best_assign = floor, None
+    seed, seed_assign = _lpt_seed(vals, k)
+    if seed > best:
+        best, best_assign = seed, seed_assign
+        if best >= goal:
+            return best, best_assign
     sums = [0] * k
     assign = [0] * p
 
@@ -99,7 +132,7 @@ def _max_min_partition(vals, k):
             m = min(sums)
             if m > best:
                 best, best_assign = m, assign[:]
-            return best >= cap
+            return best >= goal
         limit = min(used + 1, k)
         tried = set()
         for j in range(limit):
@@ -120,49 +153,28 @@ def _max_min_partition(vals, k):
     return best, best_assign
 
 
-def _exists_partition_above(vals, k, target) -> bool:
-    """Is there a k-partition of positive ints `vals` with min > target?"""
-    p = len(vals)
-    if p < k:
-        return 0 > target
-    suffix = [0] * (p + 1)
-    for i in range(p - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + vals[i]
-    if suffix[0] < k * (target + 1):
-        return False
-    seed, _ = _lpt_seed(vals, k)
-    if seed > target:
-        return True
-    sums = [0] * k
+def _pool_share(ints, order, goods: Bundle, parts: int, floor=-1):
+    """(value, witness) of the agent's parts-share of `goods` in D units if it
+    beats `floor`, else (floor, None).
 
-    def dfs(t, used):
-        if t == p:
-            return min(sums) > target
-        limit = min(used + 1, k)
-        tried = set()
-        for j in range(limit):
-            s = sums[j]
-            if s in tried:
-                continue
-            tried.add(s)
-            sums[j] = s + vals[t]
-            if _waterfill_ok(sums, target + 1, suffix[t + 1]):
-                if dfs(t + 1, max(used, j + 1)):
-                    sums[j] = s
-                    return True
-            sums[j] = s
-        return False
-
-    return dfs(0, 0)
+    Zero-valued goods never affect the value; they are left out of the search
+    and returned in the first witness bundle.
+    """
+    positive = [g for g in order if g in goods]
+    best, assign = _best_partition([ints[g] for g in positive], parts, floor)
+    if assign is None:
+        return best, None
+    witness = [set() for _ in range(parts)]
+    for g, j in zip(positive, assign):
+        witness[j].add(g)
+    witness[0].update(goods.difference(positive))
+    return best, tuple(frozenset(b) for b in witness)
 
 
-def _split_goods(instance: Instance, agent: int, goods: Bundle):
-    """Positively valued goods sorted by descending value (index tiebreak)."""
-    row = instance.valuations[agent]
-    positive = sorted((g for g in goods if row[g] > 0),
-                      key=lambda g: (-row[g], g))
-    zero = [g for g in sorted(goods) if row[g] == 0]
-    return positive, zero
+def _exceeds(ints, order, goods: Bundle, parts: int, floor: int) -> bool:
+    """Decision form in D units: is the agent's parts-share of `goods` > floor?"""
+    vals = [ints[g] for g in order if g in goods]
+    return _best_partition(vals, parts, floor, floor + 1)[1] is not None
 
 
 def maximin_share(instance: Instance, agent: int, goods, parts: int) -> MaximinResult:
@@ -173,28 +185,10 @@ def maximin_share(instance: Instance, agent: int, goods, parts: int) -> MaximinR
     """
     if parts < 1:
         raise InputError(f"parts must be >= 1, got {parts}")
-    if not 0 <= agent < instance.num_agents:
-        raise InputError(f"agent index {agent} out of range")
+    denom, ints, order = _agent_ints(instance, agent)
     goods = check_bundle(instance, goods)
-    positive, zero = _split_goods(instance, agent, goods)
-    row = instance.valuations[agent]
-    witness = [set() for _ in range(parts)]
-    if len(positive) < parts:
-        for j, g in enumerate(positive):
-            witness[j].add(g)
-        value = Fraction(0)
-    elif parts == 1:
-        witness[0].update(positive)
-        value = bundle_value(instance, agent, positive)
-    else:
-        denom = _scale(row[g] for g in positive)
-        vals = [int(row[g] * denom) for g in positive]
-        best, assign = _max_min_partition(vals, parts)
-        for g, j in zip(positive, assign):
-            witness[j].add(g)
-        value = Fraction(best, denom)
-    witness[0].update(zero)
-    return MaximinResult(value, tuple(frozenset(b) for b in witness))
+    value, witness = _pool_share(ints, order, goods, parts)
+    return MaximinResult(Fraction(value, denom), witness)
 
 
 def maximin_exceeds(instance: Instance, agent: int, goods, parts: int,
@@ -202,15 +196,12 @@ def maximin_exceeds(instance: Instance, agent: int, goods, parts: int,
     """True iff mu_agent^parts(goods) > threshold (no witness; early exit)."""
     if parts < 1:
         raise InputError(f"parts must be >= 1, got {parts}")
+    if isinstance(threshold, float):
+        raise InputError(f"float threshold {threshold!r} rejected; use a Fraction")
+    denom, ints, order = _agent_ints(instance, agent)
     goods = check_bundle(instance, goods)
-    positive, _ = _split_goods(instance, agent, goods)
-    row = instance.valuations[agent]
-    if len(positive) < parts:
-        return 0 > threshold
-    denom = _scale(row[g] for g in positive)
-    denom = denom * threshold.denominator // gcd(denom, threshold.denominator)
-    vals = [int(row[g] * denom) for g in positive]
-    return _exists_partition_above(vals, parts, int(threshold * denom))
+    # the share times D is an integer, so it beats t*D iff it beats floor(t*D)
+    return _exceeds(ints, order, goods, parts, math.floor(threshold * denom))
 
 
 def maximin_share_naive(instance: Instance, agent: int, goods, parts: int) -> MaximinResult:
@@ -269,23 +260,45 @@ def iter_groups(num_agents: int, agent: int, size: Optional[int] = None):
                 yield combo
 
 
+def _group_pools(bundles, agent: int, size: Optional[int] = None):
+    """(group, pooled goods) for the groups containing `agent`, in
+    iter_groups order.
+
+    For all sizes, groups with an empty-bundle co-member are skipped: dropping
+    that member keeps the pooled goods and lowers the part count, which can
+    only raise the share, and the reduced group comes earlier in the order.
+    """
+    for group in iter_groups(len(bundles), agent, size):
+        if size is None and any(j != agent and not bundles[j] for j in group):
+            continue
+        yield group, frozenset().union(*(bundles[j] for j in group))
+
+
+def _violated_group(ints, order, bundles, agent: int, own: int,
+                    size: Optional[int] = None):
+    """(group, pooled goods) of the first group containing `agent` (of
+    `size`, or of any size) whose pooled share exceeds `own`, all in the
+    agent's D units; None if there is none."""
+    for group, pooled in _group_pools(bundles, agent, size):
+        if _exceeds(ints, order, pooled, len(group), own):
+            return group, pooled
+    return None
+
+
 def gmms_threshold(instance: Instance, allocation: Allocation, agent: int) -> GmmsThreshold:
     """Max over groups J containing `agent` of mu_agent^|J|(union of J's bundles).
 
-    Groups containing another agent with an empty bundle are skipped: dropping
-    such an agent keeps the pooled goods and lowers the part count, which can
-    only raise the share, so the reduced group dominates.
+    The best share so far is the floor of every later group's search, so a
+    group whose averaging cap cannot beat it costs no search, and a witness
+    is built only for a strict improvement: the witness group is the first
+    group reaching the maximum. Groups containing another agent with an
+    empty bundle are skipped (see _group_pools).
     """
     allocation.validate(instance, require_complete=True)
-    if not 0 <= agent < instance.num_agents:
-        raise InputError(f"agent index {agent} out of range")
-    best: Optional[GmmsThreshold] = None
-    for group in iter_groups(instance.num_agents, agent):
-        if any(j != agent and not allocation.bundles[j] for j in group):
-            continue
-        pooled = frozenset().union(*(allocation.bundles[j] for j in group))
-        result = maximin_share(instance, agent, pooled, len(group))
-        if best is None or result.value > best.value:
-            best = GmmsThreshold(result.value, tuple(group), result.witness)
-    assert best is not None
-    return best
+    denom, ints, order = _agent_ints(instance, agent)
+    best, best_group, best_witness = -1, None, None
+    for group, pooled in _group_pools(allocation.bundles, agent):
+        value, witness = _pool_share(ints, order, pooled, len(group), best)
+        if witness is not None:
+            best, best_group, best_witness = value, group, witness
+    return GmmsThreshold(Fraction(best, denom), best_group, best_witness)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gmms import (Instance, gmms_factor, parse_allocation,
+from gmms import (Allocation, Instance, gmms_factor, parse_allocation,
                   parse_instance, serialize_allocation, serialize_instance)
 from gmms.cli import main
 from gmms.generator import mms_not_gmms
@@ -162,3 +162,40 @@ def test_experiment_rows_and_summary(capsys):
 
 def test_experiment_bad_range():
     assert main(["experiment", "--n-min", "5", "--n-max", "3"]) == 2
+
+
+def test_boolean_documents_exit_usage(tmp_path, capsys):
+    ipath = tmp_path / "i.json"
+    apath = tmp_path / "a.json"
+    ipath.write_text('{"agents": true, "goods": 1, "valuations": [[1]]}')
+    assert main(["mms", str(ipath), "--agent", "0"]) == 2
+    ipath.write_text('{"agents": 2, "goods": 2, "valuations": [[1, 1], [1, 1]]}')
+    apath.write_text('{"bundles": [[0], [true]]}')
+    assert main(["check", str(ipath), str(apath), "--notion", "ef"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_experiment_bad_workers_exit_usage(monkeypatch, capsys, value):
+    monkeypatch.setenv("GMMS_WORKERS", value)
+    assert main(["experiment", "--n-min", "2", "--n-max", "2",
+                 "--m-min", "2", "--m-max", "2", "--count", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "GMMS_WORKERS" in captured.err
+    assert captured.out == ""
+
+
+def test_experiment_row_fails_loudly_on_non_efl(monkeypatch):
+    from gmms import algorithms, is_efl
+    from gmms.cli import experiment_row
+
+    def everything_to_agent_0(instance, policy=None, debug=False):
+        n, m = instance.num_agents, instance.num_goods
+        return Allocation.from_lists([list(range(m))] + [[]] * (n - 1))
+
+    monkeypatch.setattr(algorithms, "efl_allocate", everything_to_agent_0)
+    from gmms.generator import GenSpec, generate
+    inst = generate(GenSpec(3, 6, "uniform", False, 4))
+    assert not is_efl(inst, everything_to_agent_0(inst)).holds
+    with pytest.raises(RuntimeError, match="EFL"):
+        experiment_row(3, 6, "uniform", False, 4, None)

@@ -107,3 +107,20 @@ def test_allocation_completeness():
     assert not alloc.is_complete(3)
     assert alloc.is_complete(3) is False
     assert Allocation.from_lists([[0], [1, 2]]).is_complete(3)
+
+
+@pytest.mark.parametrize("doc", [
+    '{"agents": true, "goods": 1, "valuations": [[1]]}',
+    '{"agents": 1, "goods": true, "valuations": [[1]]}',
+    '{"agents": 1, "goods": false, "valuations": [[]]}',
+])
+def test_parse_instance_rejects_boolean_counts(doc):
+    with pytest.raises(ParseError):
+        parse_instance(doc)
+
+
+def test_parse_allocation_rejects_boolean_goods():
+    with pytest.raises(ParseError):
+        parse_allocation('{"bundles": [[true], [0]]}')
+    with pytest.raises(ParseError):
+        parse_allocation('{"bundles": [[false]]}')

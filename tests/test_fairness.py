@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from gmms import (Allocation, InputError, Instance, bundle_value, gmms_factor,
                   is_ef1, is_efl, is_efx, is_envy_free, is_gmms,
-                  is_kwise_fair, is_mms, is_pmms)
+                  is_kwise_fair, is_mms, is_pmms, maximin_share_naive)
 from gmms.generator import (efl_tight, kwise_boundary, mms_not_ef1,
                             mms_not_gmms, single_good_two_agents)
 
@@ -198,3 +199,60 @@ def test_gmms_factor_at_least_one_when_gmms():
     alloc = Allocation.from_lists([[0], [1]])
     assert is_gmms(inst, alloc).holds
     assert gmms_factor(inst, alloc) >= 1
+
+
+def reference_violation(inst, alloc, groups_of):
+    """Fraction-only reference: first (agent, group) in order whose naive
+    pooled share beats the agent's own value, with its share; no skipping."""
+    for i in range(inst.num_agents):
+        own = bundle_value(inst, i, alloc.bundles[i])
+        for group in groups_of(i):
+            pooled = frozenset().union(*(alloc.bundles[j] for j in group))
+            share = maximin_share_naive(inst, i, pooled, len(group)).value
+            if share > own:
+                return i, group, own, share
+    return None
+
+
+def combos_with(n, i, sizes):
+    return [c for k in sizes for c in itertools.combinations(range(n), k) if i in c]
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_group_checkers_match_naive_reference(seed):
+    rng = random.Random(900 + seed)
+    n, m = rng.randrange(1, 5), rng.randrange(0, 9)
+    inst = Instance.from_rows(
+        [[0 if rng.random() < 0.3 else
+          Fraction(rng.randrange(1, 13), rng.choice([1, 2, 3, 5, 10]))
+          for _ in range(m)] for _ in range(n)])
+    vec = [rng.randrange(n) for _ in range(m)]
+    alloc = Allocation.from_lists(
+        [[g for g, a in enumerate(vec) if a == i] for i in range(n)])
+    cases = [(is_mms(inst, alloc), lambda i: [tuple(range(n))], None),
+             (is_pmms(inst, alloc), lambda i: combos_with(n, i, [2]), "pair"),
+             (is_gmms(inst, alloc),
+              lambda i: combos_with(n, i, range(1, n + 1)), "group")]
+    cases += [(is_kwise_fair(inst, alloc, k),
+               lambda i, k=k: combos_with(n, i, [k]), "group")
+              for k in range(1, n + 1)]
+    for report, groups_of, other in cases:
+        expected = reference_violation(inst, alloc, groups_of)
+        assert report.holds == (expected is None)
+        if expected is None:
+            assert report.witness is None
+            continue
+        agent, group, own, share = expected
+        w = report.witness
+        assert (w.agent, w.lhs, w.rhs) == (agent, own, share)
+        if other == "pair":
+            assert w.other == tuple(j for j in group if j != agent)
+        elif other == "group":
+            assert w.other == group
+        else:
+            assert w.other is None
+        pooled = frozenset().union(*(alloc.bundles[j] for j in group))
+        assert len(w.partition) == len(group)
+        assert frozenset().union(*w.partition) == pooled
+        assert sum(len(b) for b in w.partition) == len(pooled)
+        assert min(bundle_value(inst, agent, b) for b in w.partition) == share

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from gmms import (Allocation, InputError, Instance, bundle_value,
-                  gmms_threshold, maximin_exceeds, maximin_share,
+from gmms import (Allocation, InputError, Instance, MaximinResult,
+                  bundle_value, gmms_threshold, maximin_exceeds, maximin_share,
                   maximin_share_naive, mms)
+from gmms.maximin import iter_groups
 from gmms.generator import efl_tight, kwise_boundary, mms_not_gmms
 
 
@@ -198,3 +199,58 @@ def test_full_group_term_equals_mms():
         [[g for g, a in enumerate(vec) if a == i] for i in range(3)])
     for agent in range(3):
         assert gmms_threshold(inst, alloc, agent).value >= mms(inst, agent).value
+
+
+@pytest.mark.parametrize("agent", [-1, 2])
+def test_oracles_reject_agent_out_of_range(agent):
+    inst = Instance.from_rows([[1, 2, 3], [3, 2, 1]])
+    alloc = Allocation.from_lists([[0], [1, 2]])
+    with pytest.raises(InputError):
+        maximin_share(inst, agent, range(3), 2)
+    with pytest.raises(InputError):
+        maximin_exceeds(inst, agent, range(3), 2, Fraction(0))
+    with pytest.raises(InputError):
+        gmms_threshold(inst, alloc, agent)
+
+
+def test_exceeds_rejects_float_threshold():
+    inst = Instance.from_rows([[1, 2, 3]])
+    with pytest.raises(InputError):
+        maximin_exceeds(inst, 0, range(3), 2, 0.5)
+    assert maximin_exceeds(inst, 0, range(3), 2, 2)
+    assert not maximin_exceeds(inst, 0, range(3), 2, Fraction(3))
+
+
+def random_sparse_instance(rng, n, m):
+    """Values with zeros and mixed denominators; some agents end up with an
+    empty bundle in random_allocation."""
+    return Instance.from_rows(
+        [[0 if rng.random() < 0.3 else
+          Fraction(rng.randrange(1, 13), rng.choice([1, 2, 3, 5, 10]))
+          for _ in range(m)] for _ in range(n)])
+
+
+def random_allocation(rng, n, m):
+    vec = [rng.randrange(n) for _ in range(m)]
+    return Allocation.from_lists(
+        [[g for g, a in enumerate(vec) if a == i] for i in range(n)])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_gmms_threshold_is_first_strict_maximum(seed):
+    rng = random.Random(700 + seed)
+    n, m = rng.randrange(1, 5), rng.randrange(0, 9)
+    inst = random_sparse_instance(rng, n, m)
+    alloc = random_allocation(rng, n, m)
+    for agent in range(n):
+        value, group = None, None
+        for g in iter_groups(n, agent):
+            pooled = frozenset().union(*(alloc.bundles[j] for j in g))
+            mu = maximin_share_naive(inst, agent, pooled, len(g)).value
+            if value is None or mu > value:
+                value, group = mu, g
+        t = gmms_threshold(inst, alloc, agent)
+        assert (t.value, t.witness_group) == (value, group)
+        pooled = frozenset().union(*(alloc.bundles[j] for j in group))
+        check_witness(inst, agent, MaximinResult(t.value, t.witness_partition),
+                      pooled, len(group))
