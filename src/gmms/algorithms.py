@@ -1,6 +1,6 @@
 """Constructive procedures: envy-graph EFL allocation, cycle resolution,
-exact groupwise-fair search by enumeration, and the lexicographically maximal
-allocation for identical valuations.
+exact groupwise-fair search by pruned depth-first search, and the
+lexicographically maximal allocation for identical valuations.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .core import Allocation, Bundle, InputError, Instance, bundle_value
-from .maximin import _agent_ints, _violated_group
+from .maximin import _agent_ints, _lpt_seed, _violated_group
 
 
 class PolicyError(ValueError):
@@ -40,32 +40,31 @@ class EnvyGraph:
         return [i for i in range(self.num_agents) if i not in envied]
 
     def find_cycle(self) -> Optional[List[int]]:
-        """First cycle found by depth-first search from agent 0 upward."""
+        """First cycle found by depth-first search from agent 0 upward.
+
+        The search keeps its own stack, so its depth is not bounded by the
+        interpreter's recursion limit.
+        """
         succ = [[] for _ in range(self.num_agents)]
         for i, j in sorted(self.edges):
             succ[i].append(j)
         color = [0] * self.num_agents  # 0 unseen, 1 on stack, 2 done
-        stack: List[int] = []
-
-        def visit(u):
-            color[u] = 1
-            stack.append(u)
-            for v in succ[u]:
-                if color[v] == 1:
-                    return stack[stack.index(v):]
-                if color[v] == 0:
-                    cycle = visit(v)
-                    if cycle is not None:
-                        return cycle
-            stack.pop()
-            color[u] = 2
-            return None
-
         for start in range(self.num_agents):
-            if color[start] == 0:
-                cycle = visit(start)
-                if cycle is not None:
-                    return cycle
+            if color[start]:
+                continue
+            color[start] = 1
+            stack, pending = [start], [iter(succ[start])]
+            while stack:
+                v = next(pending[-1], None)
+                if v is None:
+                    color[stack.pop()] = 2
+                    pending.pop()
+                elif color[v] == 1:
+                    return stack[stack.index(v):]
+                elif color[v] == 0:
+                    color[v] = 1
+                    stack.append(v)
+                    pending.append(iter(succ[v]))
         return None
 
 
@@ -206,6 +205,9 @@ def _assert_ef1_wrt_last(instance, bundles, last_good):
 
 @dataclass(frozen=True)
 class SearchResult:
+    """Outcome of ``exact_gmms_search``. ``examined`` counts the search nodes
+    visited (the root and every placement tried), not complete allocations."""
+
     status: str  # "found" | "exhausted" | "budget"
     allocation: Optional[Allocation]
     examined: int
@@ -244,44 +246,78 @@ def exact_gmms_search(instance: Instance, budget: Optional[int] = None) -> Searc
     """First allocation in lexicographic assignment order passing the
     groupwise check, or proof of exhaustion, or a budget marker.
 
-    Enumeration keeps an incrementally updated value matrix; candidates are
-    prefiltered by the (provably necessary) EFX condition before the share
-    computations run.
+    Depth-first search over partial assignments, on an explicit stack:
+    goods are placed in index order, each with agents tried in increasing
+    index, so leaves come in the same order as a full enumeration. The value
+    matrix and the bundles are updated on each placement and undone on
+    backtrack. A placement is dropped when some agent's own value plus her
+    value of the unplaced goods falls below her LPT seed for n parts. That
+    seed is at most her maximin share of all goods, which GMMS guarantees
+    her, so no dropped subtree holds a solution and the first allocation
+    found is the same as without pruning. Leaves are prefiltered by the
+    (provably necessary) EFX condition before the share computations run.
+    ``examined`` counts the nodes visited (the root, then every placement
+    tried, dropped ones included), and ``budget`` caps it.
     """
     n, m = instance.num_agents, instance.num_goods
+    if budget is not None and budget < 1:
+        return SearchResult("budget", None, 0)
     agents = [_agent_ints(instance, i) for i in range(n)]
     rows = [ints for _, ints, _ in agents]
-    vec = [0] * m
+    cols = [[row[g] for row in rows] for g in range(m)]
+    # need[t][i]: the least own value agent i may hold once goods < t are
+    # placed, so that her goods >= t can still lift her to her LPT seed
+    need = [[] for _ in range(m)] + [
+        [_lpt_seed([ints[g] for g in order], n)[0] for _, ints, order in agents]]
+    for t in range(m - 1, -1, -1):
+        need[t] = [x - v for x, v in zip(need[t + 1], cols[t])]
     sums = [[0] * n for _ in range(n)]
-    for i in range(n):
-        sums[i][0] = sum(rows[i])
-    examined = 0
+    by_agent: List[List[int]] = [[] for _ in range(n)]
+    others = [[i for i in range(n) if i != a] for a in range(n)]
+
+    def move(t, a, sign):
+        for row, v in zip(sums, cols[t]):
+            row[a] += sign * v
+
+    def leaf_passes():
+        if not _is_efx_fast(rows, by_agent, sums):
+            return None
+        bundles = tuple(frozenset(b) for b in by_agent)
+        return Allocation(bundles) if _passes_gmms(agents, bundles, sums) else None
+
+    examined = 1  # the root
+    if m == 0:
+        found = leaf_passes()
+        return SearchResult("exhausted" if found is None else "found", found, 1)
+    holder = [-1] * m  # the stack: good t's agent, -1 while good t is unplaced
+    t = 0
     while True:
+        a = holder[t]
+        if a >= 0:  # take good t back before trying the next agent
+            by_agent[a].pop()
+            move(t, a, -1)
+        a += 1
+        if a == n:  # every agent tried for good t: backtrack
+            holder[t] = -1
+            if t == 0:
+                return SearchResult("exhausted", None, examined)
+            t -= 1
+            continue
         if budget is not None and examined >= budget:
             return SearchResult("budget", None, examined)
         examined += 1
-        by_agent = [[] for _ in range(n)]
-        for g, a in enumerate(vec):
-            by_agent[a].append(g)
-        if _is_efx_fast(rows, by_agent, sums):
-            bundles = tuple(frozenset(b) for b in by_agent)
-            if _passes_gmms(agents, bundles, sums):
-                return SearchResult("found", Allocation(bundles), examined)
-        # advance the assignment odometer (last good varies fastest)
-        pos = m - 1
-        while pos >= 0 and vec[pos] == n - 1:
-            for i in range(n):
-                sums[i][n - 1] -= rows[i][pos]
-                sums[i][0] += rows[i][pos]
-            vec[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return SearchResult("exhausted", None, examined)
-        old = vec[pos]
-        vec[pos] = old + 1
-        for i in range(n):
-            sums[i][old] -= rows[i][pos]
-            sums[i][old + 1] += rows[i][pos]
+        holder[t] = a
+        by_agent[a].append(t)
+        move(t, a, 1)
+        # only agent a's own value moved, and it rose
+        if any(sums[i][i] < need[t + 1][i] for i in others[a]):
+            continue
+        if t + 1 < m:
+            t += 1
+            continue
+        found = leaf_passes()
+        if found is not None:
+            return SearchResult("found", found, examined)
 
 
 def lex_dominates(u: Sequence[Fraction], v: Sequence[Fraction]) -> bool:

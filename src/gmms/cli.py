@@ -232,34 +232,57 @@ def cmd_experiment(args) -> int:
     out.write(f"# schema {CSV_SCHEMA} rng={generator.RNG_NAME}\n")
     writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS)
     writer.writeheader()
+    # each row is written as it arrives; only per-cell tallies are kept
+    tallies = {cell: _CellTally() for cell in cells}
+
+    def emit(rows):
+        for row in rows:
+            writer.writerow(row)
+            tallies[row["n"], row["m"]].add(row)
+
     if workers > 1 and jobs:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_row_star, jobs, chunksize=8))
+            emit(pool.map(_row_star, jobs, chunksize=8))  # in job order
     else:
-        rows = [experiment_row(*job) for job in jobs]
-    for row in rows:
-        writer.writerow(row)
+        emit(map(_row_star, jobs))
     # trailing per-cell summaries, recomputable from the rows above
-    for n, m in cells:
-        cell = [r for r in rows if r["n"] == n and r["m"] == m]
-        if not cell:
-            continue
-        factors = [Fraction(r["efl_factor_num"], r["efl_factor_den"])
-                   for r in cell if r["efl_factor_den"] != 0]
-        found = sum(r["gmms_exists"] == "true" for r in cell)
-        absent = sum(r["gmms_exists"] == "false" for r in cell)
-        capped = sum(r["gmms_exists"] == "budget" for r in cell)
-        if factors:
-            mean = sum(factors) / len(factors)
-            out.write(f"# summary n={n} m={m} count={len(cell)} "
-                      f"mean_factor={mean} ({decimal_str(mean)}) "
-                      f"min_factor={min(factors)} "
-                      f"gmms_found={found} gmms_absent={absent} budget={capped}\n")
-        else:
-            out.write(f"# summary n={n} m={m} count={len(cell)} "
-                      f"gmms_found={found} gmms_absent={absent} budget={capped}\n")
+    for (n, m), tally in tallies.items():
+        if tally.count:
+            out.write(f"# summary n={n} m={m} {tally.summary()}\n")
     return EXIT_OK
+
+
+class _CellTally:
+    """Running summary of one (n, m) cell's rows."""
+
+    def __init__(self):
+        self.count = self.found = self.absent = self.capped = 0
+        self.factors = 0  # rows with a finite EFL factor
+        self.factor_sum = Fraction(0)
+        self.factor_min: Optional[Fraction] = None
+
+    def add(self, row: dict) -> None:
+        self.count += 1
+        status = row["gmms_exists"]
+        self.found += status == "true"
+        self.absent += status == "false"
+        self.capped += status == "budget"
+        if row["efl_factor_den"] != 0:
+            factor = Fraction(row["efl_factor_num"], row["efl_factor_den"])
+            self.factors += 1
+            self.factor_sum += factor
+            if self.factor_min is None or factor < self.factor_min:
+                self.factor_min = factor
+
+    def summary(self) -> str:
+        counts = (f"gmms_found={self.found} gmms_absent={self.absent} "
+                  f"budget={self.capped}")
+        if not self.factors:
+            return f"count={self.count} {counts}"
+        mean = self.factor_sum / self.factors
+        return (f"count={self.count} mean_factor={mean} ({decimal_str(mean)}) "
+                f"min_factor={self.factor_min} {counts}")
 
 
 def _row_star(job):
@@ -300,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gmms-search", help="exact search for a groupwise-fair allocation")
     p.add_argument("instance")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int,
+                   help="cap on search nodes visited (exit 3 when reached)")
     p.set_defaults(func=cmd_gmms_search)
 
     p = sub.add_parser("gen", help="draw a random instance")

@@ -8,6 +8,7 @@ across workers.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -24,11 +25,19 @@ class ParseError(ValueError):
     """An instance/allocation document is malformed."""
 
 
+# Largest decimal exponent magnitude a value literal may carry; the same as
+# Python's default int-string digit cap, which already bounds the digits.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)")
+
+
 def as_value(x) -> Fraction:
     """Convert an exact value literal to a nonnegative Fraction.
 
     Accepts ints, Fractions, decimal strings ("0.98" -> 49/50) and fraction
-    strings ("3/4"). Floats are rejected: they are already rounded.
+    strings ("3/4"). Floats are rejected: they are already rounded. A decimal
+    exponent beyond MAX_EXPONENT in magnitude is rejected before any number
+    is built, since "1e100000" alone would be a 332 k-bit integer.
     """
     if isinstance(x, bool):
         raise ParseError(f"boolean is not a value: {x!r}")
@@ -37,6 +46,13 @@ def as_value(x) -> Fraction:
     elif isinstance(x, int):
         v = Fraction(x)
     elif isinstance(x, str):
+        exponent = _EXPONENT.search(x)
+        if exponent is not None:
+            digits = exponent.group(1).replace("_", "").lstrip("0")
+            # the length test keeps int() off a digit string of any size
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+                raise ParseError(f"value literal exponent beyond ±{MAX_EXPONENT}: "
+                                 f"{x[:40]!r}")
         try:
             v = Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
@@ -188,7 +204,7 @@ def parse_instance(text) -> Instance:
         text = text.decode("utf-8")
     try:
         doc = json.loads(text, parse_float=str)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past the digit cap
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
@@ -228,7 +244,7 @@ def parse_allocation(text) -> Allocation:
         text = text.decode("utf-8")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past the digit cap
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "bundles" not in doc:
         raise ParseError("allocation document must be an object with 'bundles'")

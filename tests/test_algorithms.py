@@ -8,7 +8,9 @@ from gmms import (Allocation, InputError, Instance, PolicyError,
                   TieBreakPolicy, build_envy_graph, bundle_value, efl_allocate,
                   exact_gmms_search, gmms_factor, is_ef1, is_efl, is_gmms,
                   lex_dominates, lexmax_allocation, resolve_envy_cycles)
-from gmms.generator import efl_tight, efl_tight_policy, mms_not_ef1
+from gmms.algorithms import EnvyGraph
+from gmms.generator import (GenSpec, efl_tight, efl_tight_policy, generate,
+                            mms_not_ef1)
 
 
 def random_allocation(rng, n, m):
@@ -51,6 +53,59 @@ def test_resolve_preserves_bundles_and_improves():
             assert bundle_value(inst, i, resolved.bundles[i]) >= \
                 bundle_value(inst, i, alloc.bundles[i])
         assert build_envy_graph(inst, resolved).find_cycle() is None
+
+
+def recursive_find_cycle(graph):
+    """The recursive depth-first search EnvyGraph.find_cycle must agree with."""
+    succ = [[] for _ in range(graph.num_agents)]
+    for i, j in sorted(graph.edges):
+        succ[i].append(j)
+    color = [0] * graph.num_agents
+    stack = []
+
+    def visit(u):
+        color[u] = 1
+        stack.append(u)
+        for v in succ[u]:
+            if color[v] == 1:
+                return stack[stack.index(v):]
+            if color[v] == 0:
+                cycle = visit(v)
+                if cycle is not None:
+                    return cycle
+        stack.pop()
+        color[u] = 2
+        return None
+
+    for start in range(graph.num_agents):
+        if color[start] == 0:
+            cycle = visit(start)
+            if cycle is not None:
+                return cycle
+    return None
+
+
+def test_find_cycle_long_ring():
+    n = 1500
+    ring = EnvyGraph(n, frozenset((i, (i + 1) % n) for i in range(n)))
+    assert ring.find_cycle() == list(range(n))
+    path = EnvyGraph(n, frozenset((i, i + 1) for i in range(n - 1)))
+    assert path.find_cycle() is None
+
+
+def test_find_cycle_matches_recursive_search():
+    rng = random.Random(41)
+    cycles = 0
+    for _ in range(400):
+        n = rng.randrange(1, 9)
+        density = rng.random() * 0.5
+        edges = frozenset((i, j) for i in range(n) for j in range(n)
+                          if i != j and rng.random() < density)
+        graph = EnvyGraph(n, edges)
+        expected = recursive_find_cycle(graph)
+        assert graph.find_cycle() == expected
+        cycles += expected is not None
+    assert 50 < cycles < 350
 
 
 def test_efl_single_agent_takes_everything():
@@ -144,6 +199,51 @@ def test_search_matches_brute_force():
             assert result.allocation.bundles == oracle.bundles
             assert is_gmms(inst, result.allocation).holds
     assert found > 0
+
+
+def sweep_instances(rng):
+    """Small instances for the search sweep: random small integers with
+    many zeros, and generator draws (uniform, and gaussian same-order)."""
+    for n in (2, 3, 4):
+        for m in range(0, 7):
+            for _ in range(3):
+                yield Instance.from_rows(
+                    [[rng.choice((0, 0, 1, 2, 3, 7)) for _ in range(m)]
+                     for _ in range(n)])
+            if m:
+                yield generate(GenSpec(n, m, "uniform", False, rng.randrange(10**6)))
+                yield generate(GenSpec(n, m, "gaussian", True, rng.randrange(10**6)))
+
+
+def test_search_sweep_matches_brute_force():
+    rng = random.Random(53)
+    count = 0
+    for inst in sweep_instances(rng):
+        result = exact_gmms_search(inst)
+        oracle = brute_force_gmms_search(inst)
+        if oracle is None:
+            assert result.status == "exhausted" and result.allocation is None
+        else:
+            assert result.status == "found"
+            assert result.allocation.bundles == oracle.bundles
+        count += 1
+    assert count > 80
+
+
+def test_search_is_not_bounded_by_recursion_depth():
+    result = exact_gmms_search(Instance.from_rows([[1] * 1200] * 2))
+    assert result.status == "found"
+    assert result.allocation.bundles == (frozenset(range(600)),
+                                         frozenset(range(600, 1200)))
+
+
+def test_search_budget_counts_nodes():
+    inst = Instance.from_rows([[1, 1, 1], [1, 1, 1]])
+    full = exact_gmms_search(inst)
+    assert full.status == "found"
+    assert exact_gmms_search(inst, budget=full.examined) == full
+    capped = exact_gmms_search(inst, budget=full.examined - 1)
+    assert capped.status == "budget" and capped.examined == full.examined - 1
 
 
 def test_search_result_bundle_shape():

@@ -160,6 +160,33 @@ def test_experiment_rows_and_summary(capsys):
                                   int(row["efl_factor_den"]))
 
 
+def test_experiment_writes_rows_as_they_arrive(monkeypatch, capsys):
+    from gmms import cli
+    real_row, calls = cli.experiment_row, []
+
+    def fail_on_third(*job):
+        calls.append(job)
+        if len(calls) == 3:
+            raise RuntimeError("third row fails")
+        return real_row(*job)
+
+    monkeypatch.setattr(cli, "experiment_row", fail_on_third)
+    with pytest.raises(RuntimeError, match="third row"):
+        main(["experiment", "--n-min", "2", "--n-max", "2", "--m-min", "3",
+              "--m-max", "3", "--count", "5", "--seed", "7"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("# schema")
+    assert [l.split(",")[4] for l in lines[2:]] == ["7", "8"]
+
+
+def test_huge_exponent_exits_usage(tmp_path, capsys):
+    path = tmp_path / "i.json"
+    path.write_text('{"agents": 1, "goods": 1, "valuations": [[1e5000]]}')
+    assert main(["mms", str(path), "--agent", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "exponent" in captured.err and captured.out == ""
+
+
 def test_experiment_bad_range():
     assert main(["experiment", "--n-min", "5", "--n-max", "3"]) == 2
 

@@ -124,3 +124,28 @@ def test_parse_allocation_rejects_boolean_goods():
         parse_allocation('{"bundles": [[true], [0]]}')
     with pytest.raises(ParseError):
         parse_allocation('{"bundles": [[false]]}')
+
+
+@pytest.mark.parametrize("literal", ["1e5000", "1e-5000", "2.5E+4301", "1e0_5000"])
+def test_value_literal_exponent_capped(literal):
+    with pytest.raises(ParseError, match="exponent"):
+        as_value(literal)
+
+
+def test_value_literal_exponent_within_cap():
+    assert as_value("1e300") == 10 ** 300
+    assert as_value("25e-3") == Fraction(1, 40)
+    assert as_value("1e-0300") == Fraction(1, 10 ** 300)
+
+
+def test_parse_instance_rejects_huge_exponent():
+    with pytest.raises(ParseError, match="exponent"):
+        parse_instance('{"agents": 1, "goods": 1, "valuations": [[1e5000]]}')
+
+
+def test_parse_rejects_integer_past_digit_cap():
+    digits = "1" + "0" * 5000
+    with pytest.raises(ParseError):
+        parse_instance('{"agents": 1, "goods": 1, "valuations": [[%s]]}' % digits)
+    with pytest.raises(ParseError):
+        parse_allocation('{"bundles": [[%s]]}' % digits)
