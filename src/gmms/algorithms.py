@@ -9,8 +9,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .core import Allocation, Bundle, InputError, Instance, bundle_value
-from .maximin import _agent_ints, _lpt_seed, _violated_group
+from .core import Allocation, Bundle, InputError, Instance, _is_json_int
+from .fairness import _efx_violation, _envied, _value_matrix
+from .maximin import _agent_ints, _lpt_seed, _restricted_growth, _violated_group
 
 
 class PolicyError(ValueError):
@@ -26,14 +27,9 @@ class EnvyGraph:
 
     @staticmethod
     def from_allocation(instance: Instance, bundles: Sequence[Bundle]) -> "EnvyGraph":
-        n = instance.num_agents
-        own = [bundle_value(instance, i, bundles[i]) for i in range(n)]
-        edges = set()
-        for i in range(n):
-            for j in range(n):
-                if i != j and own[i] < bundle_value(instance, i, bundles[j]):
-                    edges.add((i, j))
-        return EnvyGraph(n, frozenset(edges))
+        envied = _envied(_value_matrix(instance, bundles))
+        return EnvyGraph(instance.num_agents,
+                         frozenset((i, j) for i, j, _, _ in envied))
 
     def sources(self) -> List[int]:
         envied = {j for _, j in self.edges}
@@ -73,12 +69,14 @@ def build_envy_graph(instance: Instance, allocation: Allocation) -> EnvyGraph:
     return EnvyGraph.from_allocation(instance, allocation.bundles)
 
 
-def _rotate_cycle(bundles: List[Bundle], cycle: List[int]) -> None:
-    """Give every agent on the cycle the bundle of her successor (the one she
-    envies); each agent's value strictly rises, so the edge count drops."""
-    moved = [bundles[cycle[(a + 1) % len(cycle)]] for a in range(len(cycle))]
-    for agent, b in zip(cycle, moved):
-        bundles[agent] = b
+def _rotate_cycle(per_agent: list, cycle: List[int]) -> None:
+    """Give every agent on the cycle her successor's entry, in place. On the
+    bundles, each agent gets the bundle she envies, so her value strictly
+    rises and the edge count drops; any other per-agent list (such as each
+    bundle's last good) moves with its bundle by the same call."""
+    moved = [per_agent[cycle[(a + 1) % len(cycle)]] for a in range(len(cycle))]
+    for agent, entry in zip(cycle, moved):
+        per_agent[agent] = entry
 
 
 def resolve_envy_cycles(instance: Instance, allocation: Allocation) -> Allocation:
@@ -110,12 +108,15 @@ class TieBreakPolicy:
 
     @staticmethod
     def from_doc(doc: dict) -> "TieBreakPolicy":
+        if not isinstance(doc, dict):
+            raise PolicyError("policy document must be a JSON object")
+
         def norm(key):
             seq = doc.get(key)
             if seq is None:
                 return None
             if not isinstance(seq, list) or not all(
-                    e is None or isinstance(e, int) for e in seq):
+                    e is None or _is_json_int(e) for e in seq):
                 raise PolicyError(f"policy field {key!r} must list ints or nulls")
             return tuple(seq)
         return TieBreakPolicy(norm("sources"), norm("goods"))
@@ -154,11 +155,8 @@ def efl_allocate(instance: Instance, policy: Optional[TieBreakPolicy] = None,
         while not graph.sources():
             cycle = graph.find_cycle()
             assert cycle is not None, "sourceless envy graph must contain a cycle"
-            order = {agent: pos for pos, agent in enumerate(cycle)}
-            moved = [last_good[cycle[(order[a] + 1) % len(cycle)]]
-                     if a in order else last_good[a] for a in range(n)]
             _rotate_cycle(bundles, cycle)
-            last_good = moved
+            _rotate_cycle(last_good, cycle)
             graph = EnvyGraph.from_allocation(instance, bundles)
             rotations += 1
             assert rotations <= n * n, "cycle resolution failed to terminate"
@@ -191,16 +189,11 @@ def efl_allocate(instance: Instance, policy: Optional[TieBreakPolicy] = None,
 
 
 def _assert_ef1_wrt_last(instance, bundles, last_good):
-    """Loop invariant: dropping the most recent good of any bundle kills envy."""
-    n = instance.num_agents
-    for r in range(n):
-        own = bundle_value(instance, r, bundles[r])
-        for s in range(n):
-            if r == s or not bundles[s]:
-                continue
-            reduced = bundles[s] - {last_good[s]}
-            assert own >= bundle_value(instance, r, reduced), \
-                f"partial allocation lost the last-good envy bound ({r} vs {s})"
+    """Loop invariant: dropping the most recent good of any envied bundle
+    kills the envy (an envied bundle is never empty)."""
+    for r, s, own, value in _envied(_value_matrix(instance, bundles)):
+        assert own >= value - instance.valuations[r][last_good[s]], \
+            f"partial allocation lost the last-good envy bound ({r} vs {s})"
 
 
 @dataclass(frozen=True)
@@ -217,22 +210,6 @@ class SearchResult:
         if self.allocation is not None:
             doc["bundles"] = [sorted(b) for b in self.allocation.bundles]
         return doc
-
-
-def _is_efx_fast(rows, vecs_by_agent, sums) -> bool:
-    """EFX over integer-scaled rows; sums[i][j] = agent i's value of bundle j."""
-    n = len(rows)
-    for i in range(n):
-        row = rows[i]
-        own = sums[i][i]
-        for j in range(n):
-            if i == j or sums[i][j] <= own:
-                continue
-            total = sums[i][j]
-            for g in vecs_by_agent[j]:
-                if row[g] > 0 and own < total - row[g]:
-                    return False
-    return True
 
 
 def _passes_gmms(agents, bundles, sums) -> bool:
@@ -280,7 +257,7 @@ def exact_gmms_search(instance: Instance, budget: Optional[int] = None) -> Searc
             row[a] += sign * v
 
     def leaf_passes():
-        if not _is_efx_fast(rows, by_agent, sums):
+        if _efx_violation(rows, by_agent, sums) is not None:
             return None
         bundles = tuple(frozenset(b) for b in by_agent)
         return Allocation(bundles) if _passes_gmms(agents, bundles, sums) else None
@@ -338,30 +315,17 @@ def lexmax_allocation(instance: Instance, budget: Optional[int] = None) -> Alloc
         if instance.valuations[i] != instance.valuations[0]:
             raise InputError("lexmax allocation requires identical valuation rows")
     row = instance.valuations[0]
-    best_key = None
-    best_assign: Optional[list] = None
-    assign = [0] * m
-    leaves = 0
-
-    def enumerate_rgs(t, used):
-        nonlocal best_key, best_assign, leaves
-        if t == m:
-            if budget is not None and leaves >= budget:
-                raise InputError(f"enumeration budget {budget} exhausted")
-            leaves += 1
-            sums = [Fraction(0)] * n
-            for g, j in zip(range(m), assign):
-                sums[j] += row[g]
-            key = tuple(sorted(sums))
-            if best_key is None or key > best_key:
-                best_key, best_assign = key, assign[:]
-            return
-        for j in range(min(used + 1, n)):
-            assign[t] = j
-            enumerate_rgs(t + 1, max(used, j + 1))
-
-    enumerate_rgs(0, 0)
+    best_key = best_assign = None
+    for leaves, assign in enumerate(_restricted_growth(m, n)):
+        if budget is not None and leaves >= budget:
+            raise InputError(f"enumeration budget {budget} exhausted")
+        sums = [Fraction(0)] * n
+        for g, j in enumerate(assign):
+            sums[j] += row[g]
+        key = tuple(sorted(sums))
+        if best_key is None or key > best_key:
+            best_key, best_assign = key, assign[:]
     bundles = [set() for _ in range(n)]
-    for g, j in zip(range(m), best_assign):
+    for g, j in enumerate(best_assign):
         bundles[j].add(g)
     return Allocation(tuple(frozenset(b) for b in bundles))

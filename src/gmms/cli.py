@@ -13,11 +13,12 @@ import json
 import os
 import sys
 import time
+from decimal import Context
 from fractions import Fraction
 from typing import Optional
 
 from . import algorithms, fairness, generator, maximin
-from .core import (Allocation, InputError, Instance, ParseError,
+from .core import (Allocation, InputError, Instance, ParseError, as_value,
                    parse_allocation, parse_instance, serialize_allocation,
                    serialize_instance)
 
@@ -37,10 +38,18 @@ class UsageError(Exception):
 
 
 def decimal_str(x: Optional[Fraction]) -> str:
-    """Six-significant-digit rendering; display only, never fed back in."""
+    """Six-significant-digit rendering; display only, never fed back in.
+
+    Values past the float range are rounded in decimal instead, in the same
+    style ("1e+400").
+    """
     if x is None:
         return "inf"
-    return f"{float(x):.6g}"
+    try:
+        return f"{float(x):.6g}"
+    except OverflowError:
+        rounded = Context(prec=6).divide(x.numerator, x.denominator)
+        return format(rounded.normalize(), "g")
 
 
 def _read(path: str) -> str:
@@ -72,7 +81,7 @@ def _load_policy(path: Optional[str]):
         return None
     try:
         return algorithms.TieBreakPolicy.from_doc(json.loads(_read(path)))
-    except (json.JSONDecodeError, algorithms.PolicyError) as exc:
+    except ValueError as exc:  # bad JSON, an oversized integer, or PolicyError
         raise UsageError(f"{path}: {exc}") from None
 
 
@@ -154,9 +163,9 @@ def cmd_fixture(args) -> int:
     if args.n is not None:
         params["n"] = args.n
     if args.value is not None:
-        params["big"] = Fraction(args.value)
+        params["big"] = as_value(args.value)
     if args.eps is not None:
-        params["eps"] = Fraction(args.eps)
+        params["eps"] = as_value(args.eps)
     try:
         instance, reference = generator.fixture(args.name, **params)
     except (InputError, TypeError) as exc:
@@ -372,7 +381,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InputError, ParseError, algorithms.PolicyError) as exc:
+    except ValueError as exc:
+        # InputError, ParseError and PolicyError, and Python's refusal to
+        # print an exact value past its int-to-string digit cap
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

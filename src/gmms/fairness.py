@@ -12,8 +12,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import Allocation, InputError, Instance, bundle_value
-from .maximin import (_agent_ints, _exceeds, _violated_group, gmms_threshold,
-                      maximin_share, mms)
+from .maximin import (_agent_ints, _violated_group, gmms_threshold,
+                      maximin_share)
 
 
 class Notion(str, enum.Enum):
@@ -65,9 +65,35 @@ class FairnessReport:
         return doc
 
 
-def _own_values(instance: Instance, allocation: Allocation):
-    return [bundle_value(instance, i, allocation.bundles[i])
-            for i in range(instance.num_agents)]
+def _value_matrix(instance: Instance, bundles):
+    """Row i: agent i's exact value of every bundle. Rows are computed as
+    they are read, so a check that stops at its first violation skips the
+    rest."""
+    return ([bundle_value(instance, i, b) for b in bundles]
+            for i in range(instance.num_agents))
+
+
+def _envied(sums):
+    """(i, j, own, value), agent-major, for each bundle j that agent i
+    values strictly above her own; row i of `sums` is agent i's value of
+    every bundle. Every envy notion can fail only on these pairs."""
+    for i, row in enumerate(sums):
+        for j, value in enumerate(row):
+            if row[i] < value:
+                yield i, j, row[i], value
+
+
+def _efx_violation(rows, bundles, sums):
+    """First (i, j, g, own, rest), goods in bundle order, where agent i
+    values bundle j without its positively valued good g (rest) above her
+    own bundle; None if the allocation is EFX. rows[i] and row i of `sums`
+    only need to share agent i's units."""
+    for i, j, own, value in _envied(sums):
+        row = rows[i]
+        for g in bundles[j]:
+            if row[g] > 0 and own < value - row[g]:
+                return i, j, g, own, value - row[g]
+    return None
 
 
 def _require_complete(instance: Instance, allocation: Allocation):
@@ -77,55 +103,39 @@ def _require_complete(instance: Instance, allocation: Allocation):
 def is_envy_free(instance: Instance, allocation: Allocation) -> FairnessReport:
     """v_i(A_i) >= v_i(A_j) for all pairs."""
     _require_complete(instance, allocation)
-    own = _own_values(instance, allocation)
-    for i in range(instance.num_agents):
-        for j in range(instance.num_agents):
-            if i == j:
-                continue
-            rhs = bundle_value(instance, i, allocation.bundles[j])
-            if own[i] < rhs:
-                return FairnessReport(Notion.EF, False,
-                                      Violation(i, (j,), lhs=own[i], rhs=rhs))
+    for i, j, own, value in _envied(_value_matrix(instance, allocation.bundles)):
+        return FairnessReport(Notion.EF, False,
+                              Violation(i, (j,), lhs=own, rhs=value))
     return FairnessReport(Notion.EF, True)
 
 
 def is_ef1(instance: Instance, allocation: Allocation) -> FairnessReport:
     """Some single good removed from the envied bundle kills the envy.
 
-    Empty envied bundles never violate: v_i(A_i) >= 0 = v_i(empty).
+    Empty bundles are never envied: v_i(A_i) >= 0 = v_i(empty).
     """
     _require_complete(instance, allocation)
-    own = _own_values(instance, allocation)
-    for i in range(instance.num_agents):
+    for i, j, own, value in _envied(_value_matrix(instance, allocation.bundles)):
         row = instance.valuations[i]
-        for j in range(instance.num_agents):
-            if i == j or not allocation.bundles[j]:
-                continue
-            total = bundle_value(instance, i, allocation.bundles[j])
-            top = max(allocation.bundles[j], key=lambda g: (row[g], -g))
-            if own[i] < total - row[top]:
-                return FairnessReport(Notion.EF1, False,
-                                      Violation(i, (j,), good=top,
-                                                lhs=own[i], rhs=total - row[top]))
+        top = max(allocation.bundles[j], key=lambda g: (row[g], -g))
+        if own < value - row[top]:
+            return FairnessReport(Notion.EF1, False,
+                                  Violation(i, (j,), good=top,
+                                            lhs=own, rhs=value - row[top]))
     return FairnessReport(Notion.EF1, True)
 
 
 def is_efx(instance: Instance, allocation: Allocation) -> FairnessReport:
     """Removing any positively valued good from the envied bundle kills the envy."""
     _require_complete(instance, allocation)
-    own = _own_values(instance, allocation)
-    for i in range(instance.num_agents):
-        row = instance.valuations[i]
-        for j in range(instance.num_agents):
-            if i == j:
-                continue
-            total = bundle_value(instance, i, allocation.bundles[j])
-            for g in sorted(allocation.bundles[j]):
-                if row[g] > 0 and own[i] < total - row[g]:
-                    return FairnessReport(Notion.EFX, False,
-                                          Violation(i, (j,), good=g,
-                                                    lhs=own[i], rhs=total - row[g]))
-    return FairnessReport(Notion.EFX, True)
+    found = _efx_violation(instance.valuations,
+                           [sorted(b) for b in allocation.bundles],
+                           _value_matrix(instance, allocation.bundles))
+    if found is None:
+        return FairnessReport(Notion.EFX, True)
+    i, j, g, own, rest = found
+    return FairnessReport(Notion.EFX, False,
+                          Violation(i, (j,), good=g, lhs=own, rhs=rest))
 
 
 def is_efl(instance: Instance, allocation: Allocation) -> FairnessReport:
@@ -133,63 +143,43 @@ def is_efl(instance: Instance, allocation: Allocation) -> FairnessReport:
     some good both kills the envy when removed and is worth no more than the
     envious agent's own bundle."""
     _require_complete(instance, allocation)
-    own = _own_values(instance, allocation)
-    for i in range(instance.num_agents):
-        row = instance.valuations[i]
-        for j in range(instance.num_agents):
-            if i == j:
-                continue
-            positives = [g for g in allocation.bundles[j] if row[g] > 0]
-            if len(positives) <= 1:
-                continue
-            total = bundle_value(instance, i, allocation.bundles[j])
-            ok = any(own[i] >= total - row[g] and own[i] >= row[g]
-                     for g in allocation.bundles[j])
-            if not ok:
-                top = max(allocation.bundles[j], key=lambda g: (row[g], -g))
-                rhs = total - row[top] if own[i] < total - row[top] else row[top]
-                return FairnessReport(Notion.EFL, False,
-                                      Violation(i, (j,), good=top,
-                                                lhs=own[i], rhs=rhs))
+    for i, j, own, value in _envied(_value_matrix(instance, allocation.bundles)):
+        row, bundle = instance.valuations[i], allocation.bundles[j]
+        if sum(row[g] > 0 for g in bundle) <= 1:
+            continue
+        if not any(own >= value - row[g] and own >= row[g] for g in bundle):
+            top = max(bundle, key=lambda g: (row[g], -g))
+            rhs = value - row[top] if own < value - row[top] else row[top]
+            return FairnessReport(Notion.EFL, False,
+                                  Violation(i, (j,), good=top, lhs=own, rhs=rhs))
     return FairnessReport(Notion.EFL, True)
-
-
-def _int_own(instance: Instance, allocation: Allocation, agent: int):
-    """(ints, order, own, lhs): the agent's integer row and positive goods in
-    descending order (see maximin._agent_ints), and the agent's own value in
-    those integer units and as a Fraction."""
-    denom, ints, order = _agent_ints(instance, agent)
-    own = sum(ints[g] for g in allocation.bundles[agent])
-    return ints, order, own, Fraction(own, denom)
 
 
 def _group_violation(instance: Instance, allocation: Allocation,
                      size: Optional[int] = None) -> Optional[Violation]:
     """First agent and group (of `size`, or of any size) whose pooled share
-    exceeds the agent's own value; only that group's witness is computed."""
+    exceeds the agent's own value; only that group's witness is computed.
+    The test runs in the agent's integer units (see maximin._agent_ints)."""
     for i in range(instance.num_agents):
-        ints, order, own, lhs = _int_own(instance, allocation, i)
+        denom, ints, order = _agent_ints(instance, i)
+        own = sum(ints[g] for g in allocation.bundles[i])
         found = _violated_group(ints, order, allocation.bundles, i, own, size)
         if found is not None:
             group, pooled = found
             result = maximin_share(instance, i, pooled, len(group))
             return Violation(i, group, partition=result.witness,
-                             lhs=lhs, rhs=result.value)
+                             lhs=Fraction(own, denom), rhs=result.value)
     return None
 
 
 def is_mms(instance: Instance, allocation: Allocation) -> FairnessReport:
-    """Every agent's bundle clears her grand-bundle maximin share."""
+    """Every agent's bundle clears her grand-bundle maximin share: the group
+    check at size n, whose only group pools every bundle."""
     _require_complete(instance, allocation)
-    everything = instance.all_goods()
-    for i in range(instance.num_agents):
-        ints, order, own, lhs = _int_own(instance, allocation, i)
-        if _exceeds(ints, order, everything, instance.num_agents, own):
-            result = mms(instance, i)
-            return FairnessReport(Notion.MMS, False,
-                                  Violation(i, partition=result.witness,
-                                            lhs=lhs, rhs=result.value))
-    return FairnessReport(Notion.MMS, True)
+    witness = _group_violation(instance, allocation, instance.num_agents)
+    if witness is None:
+        return FairnessReport(Notion.MMS, True)
+    return FairnessReport(Notion.MMS, False, replace(witness, other=None))
 
 
 def is_pmms(instance: Instance, allocation: Allocation) -> FairnessReport:
@@ -229,13 +219,12 @@ def gmms_factor(instance: Instance, allocation: Allocation) -> Optional[Fraction
     alpha-fair for every alpha.
     """
     _require_complete(instance, allocation)
-    own = _own_values(instance, allocation)
     factor: Optional[Fraction] = None
     for i in range(instance.num_agents):
         threshold = gmms_threshold(instance, allocation, i).value
         if threshold == 0:
             continue
-        ratio = own[i] / threshold
+        ratio = bundle_value(instance, i, allocation.bundles[i]) / threshold
         if factor is None or ratio < factor:
             factor = ratio
     return factor

@@ -37,8 +37,10 @@ class GenSpec:
             raise InputError(f"unknown distribution {self.distribution!r}")
         if self.num_agents < 1 or self.num_goods < 0:
             raise InputError("need num_agents >= 1 and num_goods >= 0")
-        if self.digits < 0:
-            raise InputError("digits must be >= 0")
+        # a double carries no more than 17 significant digits, and past
+        # about 300 the quantizing product overflows
+        if not 0 <= self.digits <= 17:
+            raise InputError(f"digits must be in [0, 17], got {self.digits}")
 
 
 def generate(spec: GenSpec) -> Instance:

@@ -204,6 +204,30 @@ def maximin_exceeds(instance: Instance, agent: int, goods, parts: int,
     return _exceeds(ints, order, goods, parts, math.floor(threshold * denom))
 
 
+def _restricted_growth(m: int, k: int):
+    """Every assignment of m items to at most k unlabeled parts, once each.
+
+    These are the restricted-growth strings: a[0] = 0, and each a[t] is at
+    most one above max(a[:t]) and below k. They come in lexicographic order,
+    as one list updated in place, so a caller keeping one must copy it.
+    Iterative, so m is not bounded by the recursion limit.
+    """
+    assign = [0] * m
+    peak = [0] * m  # peak[t] = max(assign[:t + 1])
+    while True:
+        yield assign
+        t = m - 1  # the last position that can still grow
+        while t > 0 and (assign[t] == k - 1 or assign[t] > peak[t - 1]):
+            t -= 1
+        if t <= 0:
+            return
+        assign[t] += 1
+        peak[t] = max(peak[t - 1], assign[t])
+        for u in range(t + 1, m):
+            assign[u] = 0
+            peak[u] = peak[t]
+
+
 def maximin_share_naive(instance: Instance, agent: int, goods, parts: int) -> MaximinResult:
     """Unpruned enumeration oracle; same contract as maximin_share.
 
@@ -219,27 +243,14 @@ def maximin_share_naive(instance: Instance, agent: int, goods, parts: int) -> Ma
         raise InputError(
             f"naive enumeration limited to {NAIVE_GOODS_LIMIT} goods, got {len(goods)}")
     row = instance.valuations[agent]
-    best = Fraction(-1)
-    best_assign = [0] * len(goods)
-    assign = [0] * len(goods)
-
-    def enumerate_rgs(t, used):
-        nonlocal best, best_assign
-        if t == len(goods):
-            sums = [Fraction(0)] * parts
-            for g, j in zip(goods, assign):
-                sums[j] += row[g]
-            m = min(sums)
-            if m > best:
-                best, best_assign = m, assign[:]
-            return
-        for j in range(min(used + 1, parts)):
-            assign[t] = j
-            enumerate_rgs(t + 1, max(used, j + 1))
-
-    enumerate_rgs(0, 0)
-    if best < 0:  # empty goods set
-        best = Fraction(0)
+    best = Fraction(-1)  # the first assignment (all in one part) beats it
+    for assign in _restricted_growth(len(goods), parts):
+        sums = [Fraction(0)] * parts
+        for g, j in zip(goods, assign):
+            sums[j] += row[g]
+        low = min(sums)
+        if low > best:
+            best, best_assign = low, assign[:]
     witness = [set() for _ in range(parts)]
     for g, j in zip(goods, best_assign):
         witness[j].add(g)

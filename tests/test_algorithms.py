@@ -307,3 +307,25 @@ def test_lexmax_budget():
     inst = Instance.from_rows([[1] * 6] * 3)
     with pytest.raises(InputError):
         lexmax_allocation(inst, budget=3)
+
+
+def test_lexmax_is_not_bounded_by_recursion_depth():
+    # the enumerator keeps no stack, so 1200 goods reach the budget check
+    with pytest.raises(InputError, match="budget 1 exhausted"):
+        lexmax_allocation(Instance.from_rows([[1] * 1200] * 2), budget=1)
+
+
+def test_debug_invariant_holds_through_rotations(monkeypatch):
+    # bundles and last goods go through the same rotation; on this instance
+    # a last good left behind by a cycle breaks the debug invariant
+    from gmms import algorithms
+    rotated, real_rotate = [], algorithms._rotate_cycle
+
+    def spy(per_agent, cycle):
+        rotated.append(cycle)
+        real_rotate(per_agent, cycle)
+
+    monkeypatch.setattr(algorithms, "_rotate_cycle", spy)
+    inst = Instance.from_rows([[3, 1, 4, 4, 2], [1, 0, 3, 0, 1], [4, 1, 3, 0, 0]])
+    assert efl_allocate(inst, debug=True) == efl_allocate(inst)
+    assert rotated

@@ -226,3 +226,68 @@ def test_experiment_row_fails_loudly_on_non_efl(monkeypatch):
     assert not is_efl(inst, everything_to_agent_0(inst)).holds
     with pytest.raises(RuntimeError, match="EFL"):
         experiment_row(3, 6, "uniform", False, 4, None)
+
+
+@pytest.mark.parametrize("policy", ['[0, 1]', '{"sources": [true]}',
+                                    '{"goods": [false, null]}', '7'])
+def test_malformed_policy_exits_usage(tmp_path, capsys, policy):
+    ipath = tmp_path / "i.json"
+    ppath = tmp_path / "p.json"
+    ipath.write_text('{"agents": 2, "goods": 2, "valuations": [[1, 1], [1, 1]]}')
+    ppath.write_text(policy)
+    assert main(["solve-efl", str(ipath), "--policy", str(ppath)]) == 2
+    captured = capsys.readouterr()
+    assert "policy" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("option,literal", [("--value", "abc"),
+                                            ("--value", "1e99999999"),
+                                            ("--eps", "1/0"),
+                                            ("--eps", "-1")])
+def test_fixture_bad_value_literal_exits_usage(capsys, option, literal):
+    assert main(["fixture", "mms_not_gmms", "--n", "4", option, literal]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
+def test_gen_too_many_digits_exits_usage(capsys):
+    assert main(["gen", "--agents", "2", "--goods", "2", "--digits", "400"]) == 2
+    captured = capsys.readouterr()
+    assert "digits" in captured.err and captured.out == ""
+    assert main(["gen", "--agents", "2", "--goods", "2", "--digits", "17"]) == 0
+
+
+def test_decimal_str_past_float_range():
+    from gmms.cli import decimal_str
+    assert decimal_str(Fraction(10) ** 400) == "1e+400"
+    assert decimal_str(Fraction(3, 2) * 10 ** 400) == "1.5e+400"
+    assert decimal_str(Fraction(10 ** 400 - 1, 3)) == "3.33333e+399"
+    # in float range the rendering is the float's, byte for byte
+    assert decimal_str(Fraction(10) ** 300) == "1e+300"
+    assert decimal_str(Fraction(1, 3)) == "0.333333"
+    assert decimal_str(Fraction(2)) == "2"
+    assert decimal_str(None) == "inf"
+
+
+def test_mms_prints_value_past_float_range(tmp_path, capsys):
+    path = tmp_path / "i.json"
+    path.write_text('{"agents": 1, "goods": 1, "valuations": [["1e400"]]}')
+    assert main(["mms", str(path), "--agent", "0"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == f"value: {10 ** 400} (1e+400)"
+
+
+def test_value_past_digit_cap_exits_usage(tmp_path, capsys):
+    path = tmp_path / "i.json"
+    path.write_text('{"agents": 1, "goods": 1, "valuations": [["1e4300"]]}')
+    assert main(["mms", str(path), "--agent", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+
+
+def test_undecodable_document_exits_usage(tmp_path, capsys):
+    path = tmp_path / "i.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["mms", str(path), "--agent", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error:")

@@ -256,3 +256,99 @@ def test_group_checkers_match_naive_reference(seed):
         assert frozenset().union(*w.partition) == pooled
         assert sum(len(b) for b in w.partition) == len(pooled)
         assert min(bundle_value(inst, agent, b) for b in w.partition) == share
+
+
+# Fraction-only reference loops for the envy notions: every ordered pair,
+# envied or not, with its own sums. Each returns (agent, other, good, lhs,
+# rhs) for the first violation, or None.
+
+def reference_ef(inst, alloc):
+    n = inst.num_agents
+    for i in range(n):
+        own = bundle_value(inst, i, alloc.bundles[i])
+        for j in range(n):
+            rhs = bundle_value(inst, i, alloc.bundles[j])
+            if i != j and own < rhs:
+                return i, (j,), None, own, rhs
+    return None
+
+
+def reference_ef1(inst, alloc):
+    n = inst.num_agents
+    for i in range(n):
+        row, own = inst.valuations[i], bundle_value(inst, i, alloc.bundles[i])
+        for j in range(n):
+            if i == j or not alloc.bundles[j]:
+                continue
+            total = bundle_value(inst, i, alloc.bundles[j])
+            top = max(alloc.bundles[j], key=lambda g: (row[g], -g))
+            if own < total - row[top]:
+                return i, (j,), top, own, total - row[top]
+    return None
+
+
+def reference_efx(inst, alloc):
+    n = inst.num_agents
+    for i in range(n):
+        row, own = inst.valuations[i], bundle_value(inst, i, alloc.bundles[i])
+        for j in range(n):
+            if i == j:
+                continue
+            total = bundle_value(inst, i, alloc.bundles[j])
+            for g in sorted(alloc.bundles[j]):
+                if row[g] > 0 and own < total - row[g]:
+                    return i, (j,), g, own, total - row[g]
+    return None
+
+
+def reference_efl(inst, alloc):
+    n = inst.num_agents
+    for i in range(n):
+        row, own = inst.valuations[i], bundle_value(inst, i, alloc.bundles[i])
+        for j in range(n):
+            bundle = alloc.bundles[j]
+            if i == j or sum(row[g] > 0 for g in bundle) <= 1:
+                continue
+            total = bundle_value(inst, i, bundle)
+            if any(own >= total - row[g] and own >= row[g] for g in bundle):
+                continue
+            top = max(bundle, key=lambda g: (row[g], -g))
+            rhs = total - row[top] if own < total - row[top] else row[top]
+            return i, (j,), top, own, rhs
+    return None
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_envy_checkers_match_reference_loops(seed):
+    from gmms.algorithms import EnvyGraph
+    rng = random.Random(1700 + seed)
+    pairs = ((is_envy_free, reference_ef), (is_ef1, reference_ef1),
+             (is_efx, reference_efx), (is_efl, reference_efl))
+    violated = set()
+    for t in range(12):
+        n, m = rng.randrange(1, 5), rng.randrange(0, 8)
+        if t % 2:  # small integers: ties between own values and goods
+            rows = [[rng.randrange(0, 4) for _ in range(m)] for _ in range(n)]
+        else:
+            rows = [[0 if rng.random() < 0.3 else
+                     Fraction(rng.randrange(1, 13), rng.choice([1, 2, 3, 5]))
+                     for _ in range(m)] for _ in range(n)]
+        inst = Instance.from_rows(rows)
+        vec = [rng.randrange(n) for _ in range(m)]
+        alloc = Allocation.from_lists(
+            [[g for g, a in enumerate(vec) if a == i] for i in range(n)])
+        for checker, reference in pairs:
+            report, expected = checker(inst, alloc), reference(inst, alloc)
+            assert report.holds == (expected is None)
+            if expected is None:
+                assert report.witness is None
+                continue
+            violated.add(checker)
+            w = report.witness
+            assert (w.agent, w.other, w.good, w.lhs, w.rhs) == expected
+            assert w.partition is None
+        edges = {(i, j) for i in range(n) for j in range(n) if i != j
+                 and bundle_value(inst, i, alloc.bundles[i])
+                 < bundle_value(inst, i, alloc.bundles[j])}
+        assert EnvyGraph.from_allocation(inst, alloc.bundles).edges == edges
+    assert is_envy_free in violated

@@ -120,3 +120,12 @@ def test_efl_tight_shape_and_params():
     ref.validate(inst)
     with pytest.raises(InputError):
         efl_tight(1)
+
+
+def test_digits_capped_at_double_precision():
+    with pytest.raises(InputError, match="digits"):
+        GenSpec(num_agents=2, num_goods=3, digits=18)
+    with pytest.raises(InputError, match="digits"):
+        GenSpec(num_agents=2, num_goods=3, digits=400)
+    inst = generate(GenSpec(num_agents=2, num_goods=3, seed=1, digits=17))
+    assert all(v.denominator <= 10 ** 17 for row in inst.valuations for v in row)

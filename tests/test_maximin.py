@@ -254,3 +254,27 @@ def test_gmms_threshold_is_first_strict_maximum(seed):
         pooled = frozenset().union(*(alloc.bundles[j] for j in group))
         check_witness(inst, agent, MaximinResult(t.value, t.witness_partition),
                       pooled, len(group))
+
+
+def recursive_rgs(m, k):
+    """Independent oracle: the restricted-growth strings by recursion."""
+    out, assign = [], [0] * m
+
+    def rec(t, used):
+        if t == m:
+            out.append(tuple(assign))
+            return
+        for j in range(min(used + 1, k)):
+            assign[t] = j
+            rec(t + 1, max(used, j + 1))
+
+    rec(0, 0)
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
+def test_restricted_growth_matches_recursive_oracle(k):
+    from gmms.maximin import _restricted_growth
+    for m in range(0, 8):
+        assert [tuple(a) for a in _restricted_growth(m, k)] == recursive_rgs(m, k)
+
