@@ -110,6 +110,9 @@ class TieBreakPolicy:
     def from_doc(doc: dict) -> "TieBreakPolicy":
         if not isinstance(doc, dict):
             raise PolicyError("policy document must be a JSON object")
+        unknown = sorted(set(doc) - {"sources", "goods"})
+        if unknown:
+            raise PolicyError(f"unknown policy fields {unknown}")
 
         def norm(key):
             seq = doc.get(key)
@@ -212,67 +215,59 @@ class SearchResult:
         return doc
 
 
-def _passes_gmms(agents, bundles, sums) -> bool:
-    """GMMS over integer rows: agents[i] = _agent_ints(instance, i), and
-    sums[i][i] is agent i's own value in the same units."""
-    return all(_violated_group(ints, order, bundles, i, sums[i][i]) is None
-               for i, (_, ints, order) in enumerate(agents))
-
-
 def exact_gmms_search(instance: Instance, budget: Optional[int] = None) -> SearchResult:
     """First allocation in lexicographic assignment order passing the
     groupwise check, or proof of exhaustion, or a budget marker.
 
     Depth-first search over partial assignments, on an explicit stack:
     goods are placed in index order, each with agents tried in increasing
-    index, so leaves come in the same order as a full enumeration. The value
-    matrix and the bundles are updated on each placement and undone on
-    backtrack. A placement is dropped when some agent's own value plus her
+    index, so leaves come in the same order as a full enumeration. Across
+    nodes only the stack and each agent's own value (in her integer units)
+    are kept. A placement is dropped when some agent's own value plus her
     value of the unplaced goods falls below her LPT seed for n parts. That
     seed is at most her maximin share of all goods, which GMMS guarantees
     her, so no dropped subtree holds a solution and the first allocation
-    found is the same as without pruning. Leaves are prefiltered by the
-    (provably necessary) EFX condition before the share computations run.
-    ``examined`` counts the nodes visited (the root, then every placement
-    tried, dropped ones included), and ``budget`` caps it.
+    found is the same as without pruning. A leaf builds its bundles and
+    value matrix from the stack and prefilters by the (provably necessary)
+    EFX condition before the share computations run. ``examined`` counts
+    the nodes visited (the root, then every placement tried, dropped ones
+    included), and ``budget`` caps it.
     """
     n, m = instance.num_agents, instance.num_goods
     if budget is not None and budget < 1:
         return SearchResult("budget", None, 0)
     agents = [_agent_ints(instance, i) for i in range(n)]
     rows = [ints for _, ints, _ in agents]
-    cols = [[row[g] for row in rows] for g in range(m)]
     # need[t][i]: the least own value agent i may hold once goods < t are
     # placed, so that her goods >= t can still lift her to her LPT seed
     need = [[] for _ in range(m)] + [
         [_lpt_seed([ints[g] for g in order], n)[0] for _, ints, order in agents]]
     for t in range(m - 1, -1, -1):
-        need[t] = [x - v for x, v in zip(need[t + 1], cols[t])]
-    sums = [[0] * n for _ in range(n)]
-    by_agent: List[List[int]] = [[] for _ in range(n)]
-    others = [[i for i in range(n) if i != a] for a in range(n)]
-
-    def move(t, a, sign):
-        for row, v in zip(sums, cols[t]):
-            row[a] += sign * v
+        need[t] = [x - row[t] for x, row in zip(need[t + 1], rows)]
+    holder = [-1] * m  # the stack: good t's agent, -1 while good t is unplaced
+    own = [0] * n
 
     def leaf_passes():
-        if _efx_violation(rows, by_agent, sums) is not None:
+        bundles = [[] for _ in range(n)]  # goods ascending, from the stack
+        for g, a in enumerate(holder):
+            bundles[a].append(g)
+        sums = [[sum(row[g] for g in b) for b in bundles] for row in rows]
+        if _efx_violation(rows, bundles, sums) is not None:
             return None
-        bundles = tuple(frozenset(b) for b in by_agent)
-        return Allocation(bundles) if _passes_gmms(agents, bundles, sums) else None
+        if all(_violated_group(ints, order, bundles, i, own[i]) is None
+               for i, (_, ints, order) in enumerate(agents)):
+            return Allocation(tuple(map(frozenset, bundles)))
+        return None
 
     examined = 1  # the root
     if m == 0:
         found = leaf_passes()
         return SearchResult("exhausted" if found is None else "found", found, 1)
-    holder = [-1] * m  # the stack: good t's agent, -1 while good t is unplaced
     t = 0
     while True:
         a = holder[t]
         if a >= 0:  # take good t back before trying the next agent
-            by_agent[a].pop()
-            move(t, a, -1)
+            own[a] -= rows[a][t]
         a += 1
         if a == n:  # every agent tried for good t: backtrack
             holder[t] = -1
@@ -284,10 +279,10 @@ def exact_gmms_search(instance: Instance, budget: Optional[int] = None) -> Searc
             return SearchResult("budget", None, examined)
         examined += 1
         holder[t] = a
-        by_agent[a].append(t)
-        move(t, a, 1)
-        # only agent a's own value moved, and it rose
-        if any(sums[i][i] < need[t + 1][i] for i in others[a]):
+        own[a] += rows[a][t]
+        # every agent must still reach her LPT seed (agent a does: her value
+        # rose as much as her need)
+        if any(x < y for x, y in zip(own, need[t + 1])):
             continue
         if t + 1 < m:
             t += 1

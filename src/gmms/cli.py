@@ -40,16 +40,16 @@ class UsageError(Exception):
 def decimal_str(x: Optional[Fraction]) -> str:
     """Six-significant-digit rendering; display only, never fed back in.
 
-    Values past the float range are rounded in decimal instead, in the same
-    style ("1e+400").
+    Values past the float range, and nonzero values below its normal range
+    (where a float loses digits or reads 0), are rounded in decimal
+    instead, in the same style ("1e+400", "1e-400").
     """
     if x is None:
         return "inf"
-    try:
+    if x == 0 or sys.float_info.min <= abs(x) <= sys.float_info.max:
         return f"{float(x):.6g}"
-    except OverflowError:
-        rounded = Context(prec=6).divide(x.numerator, x.denominator)
-        return format(rounded.normalize(), "g")
+    rounded = Context(prec=6).divide(x.numerator, x.denominator)
+    return format(rounded.normalize(), "g")
 
 
 def _read(path: str) -> str:
@@ -229,6 +229,8 @@ def cmd_experiment(args) -> int:
     workers = _workers()
     if args.n_min < 1 or args.n_max < args.n_min or args.m_max < args.m_min:
         raise UsageError("invalid n/m ranges")
+    if args.count < 0:
+        raise UsageError(f"--count must be >= 0, got {args.count}")
     cells = [(n, m) for n in range(args.n_min, args.n_max + 1)
              for m in range(args.m_min, args.m_max + 1)]
     jobs = []

@@ -96,13 +96,9 @@ def _efx_violation(rows, bundles, sums):
     return None
 
 
-def _require_complete(instance: Instance, allocation: Allocation):
-    allocation.validate(instance, require_complete=True)
-
-
 def is_envy_free(instance: Instance, allocation: Allocation) -> FairnessReport:
     """v_i(A_i) >= v_i(A_j) for all pairs."""
-    _require_complete(instance, allocation)
+    allocation.validate(instance, require_complete=True)
     for i, j, own, value in _envied(_value_matrix(instance, allocation.bundles)):
         return FairnessReport(Notion.EF, False,
                               Violation(i, (j,), lhs=own, rhs=value))
@@ -114,7 +110,7 @@ def is_ef1(instance: Instance, allocation: Allocation) -> FairnessReport:
 
     Empty bundles are never envied: v_i(A_i) >= 0 = v_i(empty).
     """
-    _require_complete(instance, allocation)
+    allocation.validate(instance, require_complete=True)
     for i, j, own, value in _envied(_value_matrix(instance, allocation.bundles)):
         row = instance.valuations[i]
         top = max(allocation.bundles[j], key=lambda g: (row[g], -g))
@@ -127,7 +123,7 @@ def is_ef1(instance: Instance, allocation: Allocation) -> FairnessReport:
 
 def is_efx(instance: Instance, allocation: Allocation) -> FairnessReport:
     """Removing any positively valued good from the envied bundle kills the envy."""
-    _require_complete(instance, allocation)
+    allocation.validate(instance, require_complete=True)
     found = _efx_violation(instance.valuations,
                            [sorted(b) for b in allocation.bundles],
                            _value_matrix(instance, allocation.bundles))
@@ -142,7 +138,7 @@ def is_efl(instance: Instance, allocation: Allocation) -> FairnessReport:
     """Either the envied bundle holds at most one positively valued good, or
     some good both kills the envy when removed and is worth no more than the
     envious agent's own bundle."""
-    _require_complete(instance, allocation)
+    allocation.validate(instance, require_complete=True)
     for i, j, own, value in _envied(_value_matrix(instance, allocation.bundles)):
         row, bundle = instance.valuations[i], allocation.bundles[j]
         if sum(row[g] > 0 for g in bundle) <= 1:
@@ -175,7 +171,7 @@ def _group_violation(instance: Instance, allocation: Allocation,
 def is_mms(instance: Instance, allocation: Allocation) -> FairnessReport:
     """Every agent's bundle clears her grand-bundle maximin share: the group
     check at size n, whose only group pools every bundle."""
-    _require_complete(instance, allocation)
+    allocation.validate(instance, require_complete=True)
     witness = _group_violation(instance, allocation, instance.num_agents)
     if witness is None:
         return FairnessReport(Notion.MMS, True)
@@ -184,7 +180,7 @@ def is_mms(instance: Instance, allocation: Allocation) -> FairnessReport:
 
 def is_pmms(instance: Instance, allocation: Allocation) -> FairnessReport:
     """Every agent clears her 2-part share over her own plus any other bundle."""
-    _require_complete(instance, allocation)
+    allocation.validate(instance, require_complete=True)
     witness = _group_violation(instance, allocation, 2)
     if witness is None:
         return FairnessReport(Notion.PMMS, True)
@@ -194,7 +190,7 @@ def is_pmms(instance: Instance, allocation: Allocation) -> FairnessReport:
 
 def is_kwise_fair(instance: Instance, allocation: Allocation, k: int) -> FairnessReport:
     """Every agent clears her k-part share over every size-k group's pool."""
-    _require_complete(instance, allocation)
+    allocation.validate(instance, require_complete=True)
     if not 1 <= k <= instance.num_agents:
         raise InputError(f"k must be in [1, {instance.num_agents}], got {k}")
     witness = _group_violation(instance, allocation, k)
@@ -207,7 +203,7 @@ def is_gmms(instance: Instance, allocation: Allocation) -> FairnessReport:
     Groups with empty-bundle co-members are skipped: the reduced group pools
     the same goods into fewer parts, so its share dominates.
     """
-    _require_complete(instance, allocation)
+    allocation.validate(instance, require_complete=True)
     witness = _group_violation(instance, allocation)
     return FairnessReport(Notion.GMMS, witness is None, witness)
 
@@ -218,7 +214,7 @@ def gmms_factor(instance: Instance, allocation: Allocation) -> Optional[Fraction
     Returns None for +infinity (every threshold is zero): the allocation is
     alpha-fair for every alpha.
     """
-    _require_complete(instance, allocation)
+    allocation.validate(instance, require_complete=True)
     factor: Optional[Fraction] = None
     for i in range(instance.num_agents):
         threshold = gmms_threshold(instance, allocation, i).value

@@ -167,6 +167,8 @@ def test_policy_doc_round_trip():
     assert TieBreakPolicy.from_doc(policy.to_doc()) == policy
     with pytest.raises(PolicyError):
         TieBreakPolicy.from_doc({"goods": ["x"]})
+    with pytest.raises(PolicyError, match="unknown"):
+        TieBreakPolicy.from_doc({"source": [1, 0], "good": [5]})
 
 
 def brute_force_gmms_search(inst):
@@ -235,6 +237,23 @@ def test_search_is_not_bounded_by_recursion_depth():
     assert result.status == "found"
     assert result.allocation.bundles == (frozenset(range(600)),
                                          frozenset(range(600, 1200)))
+
+
+def test_search_node_counts_pinned():
+    """Answers alone do not show a prune that got weaker but stayed sound;
+    the node counts do."""
+    for (n, m, seed), nodes in [((4, 8, 1), 373), ((4, 9, 2), 866),
+                                ((5, 8, 3), 30288), ((5, 9, 4), 7696),
+                                ((3, 10, 5), 263)]:
+        result = exact_gmms_search(generate(GenSpec(n, m, "uniform", False, seed)))
+        assert (result.status, result.examined) == ("found", nodes)
+    # no allocation of these 9 goods gives all 3 agents their maximin shares
+    # (78, 81, 83; all 3^9 allocations checked), so none is groupwise fair
+    no_mms = Instance.from_rows([[2, 32, 43, 52, 7, 18, 24, 39, 17],
+                                 [1, 31, 47, 50, 7, 19, 27, 41, 20],
+                                 [3, 32, 48, 54, 9, 17, 25, 41, 21]])
+    result = exact_gmms_search(no_mms)
+    assert (result.status, result.examined) == ("exhausted", 9676)
 
 
 def test_search_budget_counts_nodes():

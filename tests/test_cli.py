@@ -187,8 +187,12 @@ def test_huge_exponent_exits_usage(tmp_path, capsys):
     assert "exponent" in captured.err and captured.out == ""
 
 
-def test_experiment_bad_range():
+def test_experiment_bad_range(capsys):
     assert main(["experiment", "--n-min", "5", "--n-max", "3"]) == 2
+    assert main(["experiment", "--n-min", "3", "--n-max", "3",
+                 "--m-min", "4", "--m-max", "4", "--count", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "count" in captured.err and captured.out == ""
 
 
 def test_boolean_documents_exit_usage(tmp_path, capsys):
@@ -229,7 +233,8 @@ def test_experiment_row_fails_loudly_on_non_efl(monkeypatch):
 
 
 @pytest.mark.parametrize("policy", ['[0, 1]', '{"sources": [true]}',
-                                    '{"goods": [false, null]}', '7'])
+                                    '{"goods": [false, null]}', '7',
+                                    '{"source": [1, 0]}'])
 def test_malformed_policy_exits_usage(tmp_path, capsys, policy):
     ipath = tmp_path / "i.json"
     ppath = tmp_path / "p.json"
@@ -262,6 +267,9 @@ def test_decimal_str_past_float_range():
     assert decimal_str(Fraction(10) ** 400) == "1e+400"
     assert decimal_str(Fraction(3, 2) * 10 ** 400) == "1.5e+400"
     assert decimal_str(Fraction(10 ** 400 - 1, 3)) == "3.33333e+399"
+    # below the normal float range a float drops digits, or reads 0
+    assert decimal_str(Fraction(1, 10 ** 320)) == "1e-320"
+    assert decimal_str(Fraction(1, 10 ** 400)) == "1e-400"
     # in float range the rendering is the float's, byte for byte
     assert decimal_str(Fraction(10) ** 300) == "1e+300"
     assert decimal_str(Fraction(1, 3)) == "0.333333"
