@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -31,6 +32,7 @@ CSV_SCHEMA = "v1"
 CSV_COLUMNS = ["n", "m", "dist", "sop", "seed", "gmms_exists",
                "efl_factor_num", "efl_factor_den", "efl_factor_dec",
                "t_efl_us", "t_search_us"]
+_JOB_SLICE = 256  # experiment jobs per pool.map call, which submits all at once
 
 
 class UsageError(Exception):
@@ -229,16 +231,14 @@ def cmd_experiment(args) -> int:
     workers = _workers()
     if args.n_min < 1 or args.n_max < args.n_min or args.m_max < args.m_min:
         raise UsageError("invalid n/m ranges")
-    if args.count < 0:
-        raise UsageError(f"--count must be >= 0, got {args.count}")
+    if args.count < 0 or args.seed < 0:
+        raise UsageError(f"--count and --seed must be >= 0, "
+                         f"got {args.count} and {args.seed}")
     cells = [(n, m) for n in range(args.n_min, args.n_max + 1)
              for m in range(args.m_min, args.m_max + 1)]
-    jobs = []
-    seed = args.seed
-    for n, m in cells:
-        for _ in range(args.count):
-            jobs.append((n, m, args.dist, args.sop, seed, args.budget))
-            seed += 1
+    seeds = itertools.count(args.seed)  # jobs are made only as they are taken
+    jobs = ((n, m, args.dist, args.sop, next(seeds), args.budget)
+            for n, m in cells for _ in range(args.count))
     out = sys.stdout
     out.write(f"# schema {CSV_SCHEMA} rng={generator.RNG_NAME}\n")
     writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS)
@@ -251,12 +251,14 @@ def cmd_experiment(args) -> int:
             writer.writerow(row)
             tallies[row["n"], row["m"]].add(row)
 
-    if workers > 1 and jobs:
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            emit(pool.map(_row_star, jobs, chunksize=8))  # in job order
+            while chunk := list(itertools.islice(jobs, _JOB_SLICE)):
+                # rows come back in job order
+                emit(pool.map(experiment_row, *zip(*chunk), chunksize=8))
     else:
-        emit(map(_row_star, jobs))
+        emit(itertools.starmap(experiment_row, jobs))
     # trailing per-cell summaries, recomputable from the rows above
     for (n, m), tally in tallies.items():
         if tally.count:
@@ -294,10 +296,6 @@ class _CellTally:
         mean = self.factor_sum / self.factors
         return (f"count={self.count} mean_factor={mean} ({decimal_str(mean)}) "
                 f"min_factor={self.factor_min} {counts}")
-
-
-def _row_star(job):
-    return experiment_row(*job)
 
 
 def build_parser() -> argparse.ArgumentParser:

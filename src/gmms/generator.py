@@ -41,6 +41,8 @@ class GenSpec:
         # about 300 the quantizing product overflows
         if not 0 <= self.digits <= 17:
             raise InputError(f"digits must be in [0, 17], got {self.digits}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 def generate(spec: GenSpec) -> Instance:

@@ -3,7 +3,7 @@
 Every share runs on one integer kernel. ``_agent_ints`` scales an agent's
 row once by the lcm D of its denominators, so all of that agent's shares,
 over any pool of goods, are integers in units of 1/D. ``_best_partition`` is
-the single branch-and-bound over restricted-growth assignments with a
+the single branch-and-bound, a loop over an explicit stack with a
 water-filling bound: it looks for a partition whose min beats a floor and
 stops at a goal. ``maximin_share`` and ``mms`` use its optimisation form,
 ``maximin_exceeds`` and the fairness checkers its decision form (floor t,
@@ -99,8 +99,9 @@ def _best_partition(vals, k, floor=-1, goal=None):
     multiple of gcd(vals) <= total/k, which bounds the optimum). Returns
     (floor, None) when no partition beats `floor`. The optimisation form is
     the default; the decision form "is the optimum > t?" is floor=t,
-    goal=t+1. Restricted-growth canonical form plus equal-sum skipping kill
-    bundle symmetry; subtrees that cannot beat the incumbent (by
+    goal=t+1. One loop over an explicit stack, so no recursion limit bounds
+    p; skipping each bin whose sum an earlier bin shares kills bundle
+    symmetry, and subtrees that cannot beat the incumbent (by
     water-filling) are pruned. All pruning is sound for strict improvement,
     so in the optimisation form the witness is the LPT seed when that is
     optimal, else the first optimal leaf in search order, whatever the floor.
@@ -124,32 +125,30 @@ def _best_partition(vals, k, floor=-1, goal=None):
         if best >= goal:
             return best, best_assign
     sums = [0] * k
-    assign = [0] * p
-
-    def dfs(t, used):
-        nonlocal best, best_assign
-        if t == p:
-            m = min(sums)
-            if m > best:
-                best, best_assign = m, assign[:]
-            return best >= goal
-        limit = min(used + 1, k)
-        tried = set()
-        for j in range(limit):
-            s = sums[j]
-            if s in tried:
-                continue
-            tried.add(s)
-            sums[j] = s + vals[t]
-            assign[t] = j
-            if _waterfill_ok(sums, best + 1, suffix[t + 1]):
-                if dfs(t + 1, max(used, j + 1)):
-                    sums[j] = s
-                    return True
-            sums[j] = s
-        return False
-
-    dfs(0, 0)
+    assign = [-1] * p  # bin of vals[t]; -1 before its first try
+    t = 0
+    while t >= 0:
+        v, j = vals[t], assign[t]
+        if j >= 0:
+            sums[j] -= v
+        j += 1
+        # a bin whose sum an earlier bin shares would repeat that subtree;
+        # this also tries only the first empty bin, as vals are positive
+        while j < k and sums.index(sums[j]) < j:
+            j += 1
+        if j == k:
+            assign[t] = -1
+            t -= 1
+            continue
+        sums[j] += v
+        assign[t] = j
+        if _waterfill_ok(sums, best + 1, suffix[t + 1]):
+            if t + 1 < p:
+                t += 1
+            else:  # every bin reached best + 1 with nothing left
+                best, best_assign = min(sums), assign[:]
+                if best >= goal:
+                    return best, best_assign
     return best, best_assign
 
 

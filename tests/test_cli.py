@@ -191,8 +191,66 @@ def test_experiment_bad_range(capsys):
     assert main(["experiment", "--n-min", "5", "--n-max", "3"]) == 2
     assert main(["experiment", "--n-min", "3", "--n-max", "3",
                  "--m-min", "4", "--m-max", "4", "--count", "-1"]) == 2
+    assert main(["experiment", "--n-min", "3", "--n-max", "3",
+                 "--m-min", "4", "--m-max", "4", "--seed", "-1"]) == 2
     captured = capsys.readouterr()
     assert "count" in captured.err and captured.out == ""
+    assert "seed" in captured.err
+
+
+def test_experiment_jobs_are_made_lazily(monkeypatch, capsys):
+    import tracemalloc
+    from gmms import cli
+
+    def first_row_fails(*job):
+        raise RuntimeError("first row fails")
+
+    monkeypatch.setattr(cli, "experiment_row", first_row_fails)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match="first row"):
+            main(["experiment", "--n-min", "2", "--n-max", "2", "--m-min", "3",
+                  "--m-max", "3", "--count", "200000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a list of all 200000 jobs would take about 26 MB before the first row
+    assert peak < 2 * 2 ** 20
+
+
+def test_experiment_workers_match_serial(monkeypatch, capsys):
+    from gmms import cli
+    monkeypatch.setattr(cli, "_JOB_SLICE", 3)  # 8 jobs in three slices
+    argv = ["experiment", "--n-min", "2", "--n-max", "3", "--m-min", "3",
+            "--m-max", "4", "--count", "2", "--seed", "40"]
+
+    def run(workers):
+        monkeypatch.setenv("GMMS_WORKERS", workers)
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = lines[1].split(",")
+        timing = {header.index("t_efl_us"), header.index("t_search_us")}
+        return [line if line.startswith("#") else
+                [f for i, f in enumerate(line.split(",")) if i not in timing]
+                for line in lines]
+
+    serial = run("1")
+    assert len(serial) == 2 + 8 + 4  # schema, header, rows, one summary a cell
+    assert run("2") == serial
+
+
+def test_share_search_deeper_than_recursion_limit(tmp_path, capsys):
+    row = [3, 3] + [2] * 1199
+    ipath = tmp_path / "i.json"
+    apath = tmp_path / "a.json"
+    ipath.write_text(serialize_instance(Instance.from_rows([row, row])))
+    apath.write_text(serialize_allocation(
+        Allocation.from_lists([[0], list(range(1, 1201))])))
+    assert main(["mms", str(ipath), "--agent", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "value: 1202 (1202)"
+    assert main(["check", str(ipath), str(apath), "--notion", "gmms"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["witness"]["rhs"] == "1202"
 
 
 def test_boolean_documents_exit_usage(tmp_path, capsys):

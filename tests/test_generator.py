@@ -69,6 +69,8 @@ def test_spec_validation():
         GenSpec(num_agents=2, num_goods=3, distribution="pareto")
     with pytest.raises(InputError):
         GenSpec(num_agents=2, num_goods=3, digits=-1)
+    with pytest.raises(InputError, match="seed"):
+        GenSpec(num_agents=2, num_goods=3, seed=-1)
 
 
 def test_fixture_dispatch():

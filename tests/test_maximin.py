@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -278,3 +279,122 @@ def test_restricted_growth_matches_recursive_oracle(k):
     for m in range(0, 8):
         assert [tuple(a) for a in _restricted_growth(m, k)] == recursive_rgs(m, k)
 
+
+
+def recursive_best_partition(vals, k, floor=-1, goal=None):
+    """Independent oracle: the share kernel as a recursive search, with a
+    restricted-growth bound and a per-node set of tried sums. The explicit
+    stack in maximin._best_partition must agree with it on value and
+    witness."""
+    from gmms.maximin import _lpt_seed, _waterfill_ok
+    p = len(vals)
+    if p < k:
+        return (0, list(range(p))) if floor < 0 else (floor, None)
+    suffix = [0] * (p + 1)
+    for i in range(p - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + vals[i]
+    step = math.gcd(*vals)
+    cap = suffix[0] // (k * step) * step
+    if cap <= floor:
+        return floor, None
+    if goal is None:
+        goal = cap
+    best, best_assign = floor, None
+    seed, seed_assign = _lpt_seed(vals, k)
+    if seed > best:
+        best, best_assign = seed, seed_assign
+        if best >= goal:
+            return best, best_assign
+    sums = [0] * k
+    assign = [0] * p
+
+    def dfs(t, used):
+        nonlocal best, best_assign
+        if t == p:
+            m = min(sums)
+            if m > best:
+                best, best_assign = m, assign[:]
+            return best >= goal
+        limit = min(used + 1, k)
+        tried = set()
+        for j in range(limit):
+            s = sums[j]
+            if s in tried:
+                continue
+            tried.add(s)
+            sums[j] = s + vals[t]
+            assign[t] = j
+            if _waterfill_ok(sums, best + 1, suffix[t + 1]):
+                if dfs(t + 1, max(used, j + 1)):
+                    sums[j] = s
+                    return True
+            sums[j] = s
+        return False
+
+    dfs(0, 0)
+    return best, best_assign
+
+
+def test_best_partition_matches_recursive_oracle(monkeypatch):
+    from gmms import maximin
+    # every placement tests the bound once, so this counts placements: a
+    # weaker symmetry rule finds the same leaves, but only after more tries
+    placements = []
+    real_waterfill = maximin._waterfill_ok
+
+    def counted(*args):
+        placements[-1] += 1
+        return real_waterfill(*args)
+
+    monkeypatch.setattr(maximin, "_waterfill_ok", counted)
+
+    def run(search, args):
+        placements.append(0)
+        return search(*args), placements[-1]
+
+    rng = random.Random(2024)
+    for case in range(2000):
+        p, k = rng.randrange(0, 13), rng.randrange(1, 7)
+        kind = case % 3
+        if kind == 0:  # 6-digit values, as the generator draws them
+            vals = [rng.randrange(1, 10 ** 6) for _ in range(p)]
+        elif kind == 1:  # small integers, with many ties
+            vals = [rng.randrange(1, 6) for _ in range(p)]
+        else:  # multiples of a common gcd, so the cap steps by it
+            step = rng.randrange(2, 9)
+            vals = [step * rng.randrange(1, 20) for _ in range(p)]
+        vals.sort(reverse=True)
+        cap = sum(vals) // k
+        forms = [(vals, k)]  # optimisation form
+        floor = rng.randrange(-1, cap + 2)
+        forms.append((vals, k, floor))  # optimisation above a floor
+        forms.append((vals, k, floor, floor + 1))  # decision form
+        goal = rng.randrange(floor + 1, cap + 3)
+        forms.append((vals, k, floor, goal))  # stop at a goal
+        for args in forms:
+            assert (run(maximin._best_partition, args)
+                    == run(recursive_best_partition, args)), args
+    assert sum(placements) > 100_000
+
+
+def long_pool_instance():
+    """Two agents valuing 1201 goods as [3, 3] + [2] * 1199. The LPT seed's
+    min is 1201 and the optimum 1202, so the share search must place all
+    1201 goods on one path: deeper than the default recursion limit."""
+    row = [3, 3] + [2] * 1199
+    return Instance.from_rows([row, row])
+
+
+def test_share_is_not_bounded_by_recursion_depth():
+    from gmms import is_gmms
+    inst = long_pool_instance()
+    goods = range(inst.num_goods)
+    result = maximin_share(inst, 0, goods, 2)
+    assert result.value == 1202
+    check_witness(inst, 0, result, goods, 2)
+    report = is_gmms(inst, Allocation.from_lists([[0], list(range(1, 1201))]))
+    assert not report.holds
+    witness = report.witness
+    assert (witness.agent, witness.other, witness.lhs) == (0, (0, 1), 3)
+    assert witness.rhs == 1202
+    check_witness(inst, 0, MaximinResult(witness.rhs, witness.partition), goods, 2)

@@ -1,10 +1,13 @@
-"""Guards for the benchmark's tooling, which names package functions."""
+"""Guards that read source files: the benchmark tooling names package
+functions, and the package keeps its searches free of recursion."""
 
 import ast
 import importlib
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "bench" / "tracing.py"
+PACKAGE = ROOT / "src" / "gmms"
 
 
 def traced_names():
@@ -27,3 +30,45 @@ def test_traced_functions_still_exist():
         module_name, func_name = qualname.split(".")
         module = importlib.import_module(f"gmms.{module_name}")
         assert callable(getattr(module, func_name, None)), qualname
+
+
+def self_calls(tree):
+    """(name, line) of each function, nested ones included, whose body calls
+    it by name: as a bare name, or as a method on self or cls."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == fn.name
+                    or isinstance(func, ast.Attribute) and func.attr == fn.name
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id in ("self", "cls")):
+                found.append((fn.name, node.lineno))
+    return found
+
+
+def test_self_calls_are_detected():
+    tree = ast.parse("def outer(x):\n"
+                     "    def inner(t):\n"
+                     "        return inner(t - 1) if t else 0\n"
+                     "    return inner(x)\n"
+                     "class C:\n"
+                     "    def walk(self, t):\n"
+                     "        return self.walk(t - 1)\n"
+                     "    def other(self, xs):\n"
+                     "        return xs.other()\n")
+    assert self_calls(tree) == [("inner", 3), ("walk", 7)]
+
+
+def test_package_has_no_recursion():
+    # a recursive search fails on inputs deeper than the recursion limit;
+    # every search in the package runs on an explicit stack instead
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += [f"{path.name}:{line} {name}" for name, line in self_calls(tree)]
+    assert offenders == []
