@@ -215,6 +215,11 @@ class SearchResult:
         return doc
 
 
+def _check_budget(budget: Optional[int]) -> None:
+    if budget is not None and budget < 0:
+        raise InputError(f"budget must be >= 0, got {budget}")
+
+
 def exact_gmms_search(instance: Instance, budget: Optional[int] = None) -> SearchResult:
     """First allocation in lexicographic assignment order passing the
     groupwise check, or proof of exhaustion, or a budget marker.
@@ -227,14 +232,20 @@ def exact_gmms_search(instance: Instance, budget: Optional[int] = None) -> Searc
     value of the unplaced goods falls below her LPT seed for n parts. That
     seed is at most her maximin share of all goods, which GMMS guarantees
     her, so no dropped subtree holds a solution and the first allocation
-    found is the same as without pruning. A leaf builds its bundles and
-    value matrix from the stack and prefilters by the (provably necessary)
-    EFX condition before the share computations run. ``examined`` counts
-    the nodes visited (the root, then every placement tried, dropped ones
-    included), and ``budget`` caps it.
+    found is the same as without pruning. The placer always keeps pace
+    with her need, so the prune is decided once per depth: when good t is
+    first reached, the agents already short of the need after it are
+    found, and good t goes only to the one short agent, or to anyone when
+    none is short. A leaf builds its bundles and value rows from the stack
+    and prefilters by the (provably necessary) EFX condition, reading rows
+    only up to the first violation, before the share computations run.
+    ``examined`` counts the nodes visited: the root, then every placement
+    tried, dropped ones included, exactly as if each were tried in turn.
+    ``budget`` (>= 0; a negative one raises ``InputError``) caps it.
     """
     n, m = instance.num_agents, instance.num_goods
-    if budget is not None and budget < 1:
+    _check_budget(budget)
+    if budget == 0:
         return SearchResult("budget", None, 0)
     agents = [_agent_ints(instance, i) for i in range(n)]
     rows = [ints for _, ints, _ in agents]
@@ -245,13 +256,14 @@ def exact_gmms_search(instance: Instance, budget: Optional[int] = None) -> Searc
     for t in range(m - 1, -1, -1):
         need[t] = [x - row[t] for x, row in zip(need[t + 1], rows)]
     holder = [-1] * m  # the stack: good t's agent, -1 while good t is unplaced
+    stop = [0] * m  # good t's placements pass for agents below stop[t]
     own = [0] * n
 
     def leaf_passes():
         bundles = [[] for _ in range(n)]  # goods ascending, from the stack
         for g, a in enumerate(holder):
             bundles[a].append(g)
-        sums = [[sum(row[g] for g in b) for b in bundles] for row in rows]
+        sums = ([sum(row[g] for g in b) for b in bundles] for row in rows)
         if _efx_violation(rows, bundles, sums) is not None:
             return None
         if all(_violated_group(ints, order, bundles, i, own[i]) is None
@@ -266,24 +278,39 @@ def exact_gmms_search(instance: Instance, budget: Optional[int] = None) -> Searc
     t = 0
     while True:
         a = holder[t]
-        if a >= 0:  # take good t back before trying the next agent
+        if a < 0:
+            # good t first reached: only agents short of need[t + 1] can
+            # fail once it is placed (the placer's value rises as much as
+            # her need), so placing it passes for the one short agent, for
+            # anyone when none is short, and for no one when more are
+            short = [i for i, (x, y) in enumerate(zip(own, need[t + 1])) if x < y]
+            if not short:
+                a, stop[t] = 0, n
+            elif len(short) == 1:
+                a, stop[t] = short[0], short[0] + 1
+            else:
+                a = stop[t] = n
+            tries = a  # the dropped placements below a
+        else:  # take good t back before trying the next agent
             own[a] -= rows[a][t]
-        a += 1
-        if a == n:  # every agent tried for good t: backtrack
+            a += 1
+            tries = 0
+        if a == stop[t]:
+            tries += n - a  # the dropped placements from stop[t] on
+        else:
+            tries += 1  # placing good t with agent a
+        # the same outcome as counting the tries one at a time
+        if budget is not None and examined + tries > budget:
+            return SearchResult("budget", None, budget)
+        examined += tries
+        if a == stop[t]:  # every agent tried for good t: backtrack
             holder[t] = -1
             if t == 0:
                 return SearchResult("exhausted", None, examined)
             t -= 1
             continue
-        if budget is not None and examined >= budget:
-            return SearchResult("budget", None, examined)
-        examined += 1
         holder[t] = a
         own[a] += rows[a][t]
-        # every agent must still reach her LPT seed (agent a does: her value
-        # rose as much as her need)
-        if any(x < y for x, y in zip(own, need[t + 1])):
-            continue
         if t + 1 < m:
             t += 1
             continue
@@ -309,6 +336,7 @@ def lexmax_allocation(instance: Instance, budget: Optional[int] = None) -> Alloc
     for i in range(1, n):
         if instance.valuations[i] != instance.valuations[0]:
             raise InputError("lexmax allocation requires identical valuation rows")
+    _check_budget(budget)
     row = instance.valuations[0]
     best_key = best_assign = None
     for leaves, assign in enumerate(_restricted_growth(m, n)):

@@ -229,11 +229,14 @@ def _workers() -> int:
 def cmd_experiment(args) -> int:
     # read before any output, so a bad value leaves no partial CSV
     workers = _workers()
-    if args.n_min < 1 or args.n_max < args.n_min or args.m_max < args.m_min:
+    if (args.n_min < 1 or args.n_max < args.n_min or args.m_min < 0
+            or args.m_max < args.m_min):
         raise UsageError("invalid n/m ranges")
     if args.count < 0 or args.seed < 0:
         raise UsageError(f"--count and --seed must be >= 0, "
                          f"got {args.count} and {args.seed}")
+    if args.budget is not None and args.budget < 0:
+        raise UsageError(f"--budget must be >= 0, got {args.budget}")
     cells = [(n, m) for n in range(args.n_min, args.n_max + 1)
              for m in range(args.m_min, args.m_max + 1)]
     seeds = itertools.count(args.seed)  # jobs are made only as they are taken

@@ -9,6 +9,8 @@ from gmms import (Allocation, InputError, Instance, PolicyError,
                   exact_gmms_search, gmms_factor, is_ef1, is_efl, is_gmms,
                   lex_dominates, lexmax_allocation, resolve_envy_cycles)
 from gmms.algorithms import EnvyGraph
+from gmms.fairness import _efx_violation
+from gmms.maximin import _agent_ints, _lpt_seed, _violated_group
 from gmms.generator import (GenSpec, efl_tight, efl_tight_policy, generate,
                             mms_not_ef1)
 
@@ -256,6 +258,92 @@ def test_search_node_counts_pinned():
     assert (result.status, result.examined) == ("exhausted", 9676)
 
 
+def placement_loop_search(instance, budget=None):
+    """The search as it was before its prune was gated once per depth: the
+    LPT prune runs over every agent after every placement. Kept as the
+    oracle for status, first allocation and node count."""
+    n, m = instance.num_agents, instance.num_goods
+    if budget is not None and budget < 1:
+        return ("budget", None, 0)
+    agents = [_agent_ints(instance, i) for i in range(n)]
+    rows = [ints for _, ints, _ in agents]
+    need = [[] for _ in range(m)] + [
+        [_lpt_seed([ints[g] for g in order], n)[0] for _, ints, order in agents]]
+    for t in range(m - 1, -1, -1):
+        need[t] = [x - row[t] for x, row in zip(need[t + 1], rows)]
+    holder = [-1] * m
+    own = [0] * n
+
+    def leaf_passes():
+        bundles = [[] for _ in range(n)]
+        for g, a in enumerate(holder):
+            bundles[a].append(g)
+        sums = [[sum(row[g] for g in b) for b in bundles] for row in rows]
+        if _efx_violation(rows, bundles, sums) is not None:
+            return None
+        if all(_violated_group(ints, order, bundles, i, own[i]) is None
+               for i, (_, ints, order) in enumerate(agents)):
+            return Allocation(tuple(map(frozenset, bundles)))
+        return None
+
+    examined = 1
+    if m == 0:
+        found = leaf_passes()
+        return ("exhausted" if found is None else "found", found, 1)
+    t = 0
+    while True:
+        a = holder[t]
+        if a >= 0:
+            own[a] -= rows[a][t]
+        a += 1
+        if a == n:
+            holder[t] = -1
+            if t == 0:
+                return ("exhausted", None, examined)
+            t -= 1
+            continue
+        if budget is not None and examined >= budget:
+            return ("budget", None, examined)
+        examined += 1
+        holder[t] = a
+        own[a] += rows[a][t]
+        if any(x < y for x, y in zip(own, need[t + 1])):
+            continue
+        if t + 1 < m:
+            t += 1
+            continue
+        found = leaf_passes()
+        if found is not None:
+            return ("found", found, examined)
+
+
+def test_search_matches_placement_loop():
+    rng = random.Random(89)
+    swept = 0
+    for n in range(1, 6):
+        for m in range(0, 10):
+            insts = [Instance.from_rows(
+                [[rng.choice((0, 0, 1, 2, 3, 7)) for _ in range(m)]
+                 for _ in range(n)])]
+            if m:
+                insts.append(generate(GenSpec(n, m, "uniform", False,
+                                              rng.randrange(10**6))))
+                insts.append(generate(GenSpec(n, m, "gaussian", True,
+                                              rng.randrange(10**6))))
+            for inst in insts:
+                result = exact_gmms_search(inst)
+                expected = placement_loop_search(inst)
+                assert (result.status, result.allocation, result.examined) == expected
+                if expected[2] > 120:
+                    continue
+                swept += 1
+                for budget in range(expected[2] + 2):
+                    result = exact_gmms_search(inst, budget)
+                    assert ((result.status, result.allocation, result.examined)
+                            == placement_loop_search(inst, budget))
+    assert swept > 50
+
+
 def test_search_budget_counts_nodes():
     inst = Instance.from_rows([[1, 1, 1], [1, 1, 1]])
     full = exact_gmms_search(inst)
@@ -279,6 +367,14 @@ def test_search_budget():
     result = exact_gmms_search(inst, budget=1)
     assert result.status == "budget"
     assert result.allocation is None and result.examined == 1
+
+
+def test_search_rejects_negative_budget():
+    inst = Instance.from_rows([[1, 1, 1], [1, 1, 1]])
+    with pytest.raises(InputError, match="budget must be >= 0"):
+        exact_gmms_search(inst, budget=-1)
+    result = exact_gmms_search(inst, budget=0)
+    assert (result.status, result.allocation, result.examined) == ("budget", None, 0)
 
 
 def test_lex_dominates_examples():
@@ -326,6 +422,15 @@ def test_lexmax_budget():
     inst = Instance.from_rows([[1] * 6] * 3)
     with pytest.raises(InputError):
         lexmax_allocation(inst, budget=3)
+
+
+def test_lexmax_rejects_negative_budget():
+    # a negative budget is refused, not reported as an exhausted enumeration
+    inst = Instance.from_rows([[1, 1], [1, 1]])
+    with pytest.raises(InputError, match="budget must be >= 0"):
+        lexmax_allocation(inst, budget=-1)
+    with pytest.raises(InputError, match="budget 0 exhausted"):
+        lexmax_allocation(inst, budget=0)
 
 
 def test_lexmax_is_not_bounded_by_recursion_depth():

@@ -92,6 +92,16 @@ def test_gmms_search_command(tmp_path, capsys):
     assert doc["status"] == "budget"
 
 
+def test_gmms_search_negative_budget_exits_usage(tmp_path, capsys):
+    ipath = tmp_path / "i.json"
+    ipath.write_text(serialize_instance(Instance.from_rows([[1, 1, 1], [1, 1, 1]])))
+    assert main(["gmms-search", str(ipath), "--budget", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "budget" in captured.err and captured.out == ""
+    assert main(["gmms-search", str(ipath), "--budget", "0"]) == 3
+    assert json.loads(capsys.readouterr().out) == {"status": "budget", "examined": 0}
+
+
 def test_gen_command_deterministic(capsys):
     assert main(["gen", "--agents", "3", "--goods", "5", "--seed", "9"]) == 0
     first = capsys.readouterr().out
@@ -193,9 +203,18 @@ def test_experiment_bad_range(capsys):
                  "--m-min", "4", "--m-max", "4", "--count", "-1"]) == 2
     assert main(["experiment", "--n-min", "3", "--n-max", "3",
                  "--m-min", "4", "--m-max", "4", "--seed", "-1"]) == 2
+    assert main(["experiment", "--n-min", "2", "--n-max", "2",
+                 "--m-min", "-1", "--m-max", "0", "--count", "1"]) == 2
     captured = capsys.readouterr()
     assert "count" in captured.err and captured.out == ""
-    assert "seed" in captured.err
+    assert "seed" in captured.err and "ranges" in captured.err
+
+
+def test_experiment_negative_budget_exits_usage(capsys):
+    assert main(["experiment", "--n-min", "2", "--n-max", "2", "--m-min", "2",
+                 "--m-max", "2", "--count", "1", "--budget", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "budget" in captured.err and captured.out == ""
 
 
 def test_experiment_jobs_are_made_lazily(monkeypatch, capsys):
