@@ -6,8 +6,8 @@ a guaranteed half of every groupwise share, exact search for groupwise-fair
 allocations, and a reproducible random-experiment harness.
 """
 
-from .core import (Allocation, Bundle, InputError, Instance, ParseError,
-                   Value, as_value, bundle_value, parse_allocation,
+from .core import (Allocation, BudgetError, Bundle, InputError, Instance,
+                   ParseError, Value, as_value, bundle_value, parse_allocation,
                    parse_instance, serialize_allocation, serialize_instance)
 from .maximin import (GmmsThreshold, MaximinResult, gmms_threshold,
                       maximin_exceeds, maximin_share, maximin_share_naive, mms)

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .core import Allocation, Bundle, InputError, Instance, _is_json_int
+from .core import (Allocation, BudgetError, Bundle, InputError, Instance,
+                   _is_json_int)
 from .fairness import _efx_violation, _envied, _value_matrix
 from .maximin import _agent_ints, _lpt_seed, _restricted_growth, _violated_group
 
@@ -330,7 +331,8 @@ def lex_dominates(u: Sequence[Fraction], v: Sequence[Fraction]) -> bool:
 def lexmax_allocation(instance: Instance, budget: Optional[int] = None) -> Allocation:
     """For identical valuations: the allocation whose sorted value vector
     dominates every other's. Agents are interchangeable here, so enumeration
-    uses canonical (restricted-growth) assignments only.
+    uses canonical (restricted-growth) assignments only. Reaching ``budget``
+    enumerated assignments raises BudgetError.
     """
     n, m = instance.num_agents, instance.num_goods
     for i in range(1, n):
@@ -341,7 +343,7 @@ def lexmax_allocation(instance: Instance, budget: Optional[int] = None) -> Alloc
     best_key = best_assign = None
     for leaves, assign in enumerate(_restricted_growth(m, n)):
         if budget is not None and leaves >= budget:
-            raise InputError(f"enumeration budget {budget} exhausted")
+            raise BudgetError(f"enumeration budget {budget} exhausted")
         sums = [Fraction(0)] * n
         for g, j in enumerate(assign):
             sums[j] += row[g]

@@ -19,9 +19,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import algorithms, fairness, generator, maximin
-from .core import (Allocation, InputError, Instance, ParseError, as_value,
-                   parse_allocation, parse_instance, serialize_allocation,
-                   serialize_instance)
+from .core import (InputError, _json_doc, as_value, parse_allocation,
+                   parse_instance, serialize_allocation, serialize_instance)
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -35,7 +34,7 @@ CSV_COLUMNS = ["n", "m", "dist", "sop", "seed", "gmms_exists",
 _JOB_SLICE = 256  # experiment jobs per pool.map call, which submits all at once
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -54,42 +53,23 @@ def decimal_str(x: Optional[Fraction]) -> str:
     return format(rounded.normalize(), "g")
 
 
-def _read(path: str) -> str:
+def _load(path: str, parse, instance=None):
+    """Read one document file and parse it; an allocation is also checked to
+    be complete for ``instance``. Any failure is a UsageError naming the file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from None
-
-
-def _load_instance(path: str) -> Instance:
-    try:
-        return parse_instance(_read(path))
-    except ParseError as exc:
-        raise UsageError(f"{path}: {exc}") from None
-
-
-def _load_allocation(path: str, instance: Instance) -> Allocation:
-    try:
-        alloc = parse_allocation(_read(path))
-        alloc.validate(instance, require_complete=True)
-        return alloc
-    except (ParseError, InputError) as exc:
-        raise UsageError(f"{path}: {exc}") from None
-
-
-def _load_policy(path: Optional[str]):
-    if path is None:
-        return None
-    try:
-        return algorithms.TieBreakPolicy.from_doc(json.loads(_read(path)))
-    except ValueError as exc:  # bad JSON, an oversized integer, or PolicyError
+        with open(path, "rb") as fh:
+            doc = parse(fh.read())
+        if instance is not None:
+            doc.validate(instance, require_complete=True)
+        return doc
+    except (OSError, ValueError) as exc:
         raise UsageError(f"{path}: {exc}") from None
 
 
 def cmd_solve_efl(args) -> int:
-    instance = _load_instance(args.instance)
-    policy = _load_policy(args.policy)
+    instance = _load(args.instance, parse_instance)
+    policy = None if args.policy is None else _load(
+        args.policy, lambda text: algorithms.TieBreakPolicy.from_doc(_json_doc(text)))
     allocation = algorithms.efl_allocate(instance, policy)
     factor = fairness.gmms_factor(instance, allocation)
     assert factor is None or factor >= Fraction(1, 2), \
@@ -106,25 +86,21 @@ def cmd_solve_efl(args) -> int:
 
 
 def cmd_check(args) -> int:
-    instance = _load_instance(args.instance)
-    allocation = _load_allocation(args.allocation, instance)
+    instance = _load(args.instance, parse_instance)
+    allocation = _load(args.allocation, parse_allocation, instance)
     notion = args.notion.upper()
     if notion == "KWISE":
         if args.k is None:
             raise UsageError("--notion kwise requires --k")
         report = fairness.is_kwise_fair(instance, allocation, args.k)
     else:
-        try:
-            checker = fairness.CHECKERS[fairness.Notion(notion)]
-        except ValueError:
-            raise UsageError(f"unknown notion {args.notion!r}") from None
-        report = checker(instance, allocation)
+        report = fairness.CHECKERS[fairness.Notion(notion)](instance, allocation)
     print(json.dumps(report.to_doc()))
     return EXIT_OK if report.holds else EXIT_VIOLATED
 
 
 def cmd_mms(args) -> int:
-    instance = _load_instance(args.instance)
+    instance = _load(args.instance, parse_instance)
     result = maximin.mms(instance, args.agent)
     print(json.dumps(result.to_doc()))
     print(f"value: {result.value} ({decimal_str(result.value)})")
@@ -132,10 +108,8 @@ def cmd_mms(args) -> int:
 
 
 def cmd_gmms_threshold(args) -> int:
-    instance = _load_instance(args.instance)
-    if args.allocation is None:
-        raise UsageError("gmms-threshold requires --allocation")
-    allocation = _load_allocation(args.allocation, instance)
+    instance = _load(args.instance, parse_instance)
+    allocation = _load(args.allocation, parse_allocation, instance)
     threshold = maximin.gmms_threshold(instance, allocation, args.agent)
     print(json.dumps({"value": str(threshold.value),
                       "group": list(threshold.witness_group),
@@ -145,7 +119,7 @@ def cmd_gmms_threshold(args) -> int:
 
 
 def cmd_gmms_search(args) -> int:
-    instance = _load_instance(args.instance)
+    instance = _load(args.instance, parse_instance)
     result = algorithms.exact_gmms_search(instance, args.budget)
     print(json.dumps(result.to_doc()))
     return EXIT_BUDGET if result.status == "budget" else EXIT_OK
@@ -159,6 +133,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_fixture(args) -> int:
+    if args.policy_out and args.name != "efl_tight":
+        raise UsageError("--policy-out only applies to the efl_tight fixture")
     params = {}
     if args.k is not None:
         params["k"] = args.k
@@ -177,8 +153,6 @@ def cmd_fixture(args) -> int:
         with open(args.allocation_out, "w", encoding="utf-8") as fh:
             fh.write(serialize_allocation(reference) + "\n")
     if args.policy_out:
-        if args.name != "efl_tight":
-            raise UsageError("--policy-out only applies to the efl_tight fixture")
         policy = generator.efl_tight_policy(args.n)
         with open(args.policy_out, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(policy.to_doc()) + "\n")
@@ -329,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gmms-threshold", help="groupwise threshold of one agent")
     p.add_argument("instance")
-    p.add_argument("--allocation")
+    p.add_argument("--allocation", required=True)
     p.add_argument("--agent", type=int, required=True)
     p.set_defaults(func=cmd_gmms_threshold)
 
@@ -381,12 +355,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
-        # InputError, ParseError and PolicyError, and Python's refusal to
-        # print an exact value past its int-to-string digit cap
+        # UsageError, InputError, ParseError and PolicyError, and Python's
+        # refusal to print an exact value past its int-to-string digit cap
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

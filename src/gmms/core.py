@@ -25,6 +25,10 @@ class ParseError(ValueError):
     """An instance/allocation document is malformed."""
 
 
+class BudgetError(InputError):
+    """An enumeration reached its caller's budget before it finished."""
+
+
 # Largest decimal exponent magnitude a value literal may carry; the same as
 # Python's default int-string digit cap, which already bounds the digits.
 MAX_EXPONENT = 4300
@@ -195,17 +199,23 @@ def _is_json_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _json_doc(text, **kw):
+    """Decode one JSON document from UTF-8 bytes or a str. Bad UTF-8, bad
+    JSON, an integer past the digit cap and too deep nesting: a ParseError."""
+    try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        return json.loads(text, **kw)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
+
+
 def parse_instance(text) -> Instance:
     """Parse an instance document: {"agents": n, "goods": m, "valuations": [[..]]}.
 
     Decimal literals convert exactly (0.5 -> 1/2); "p/q" strings are accepted.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        doc = json.loads(text, parse_float=str)
-    except ValueError as exc:  # also an integer past the digit cap
-        raise ParseError(f"invalid JSON: {exc}") from None
+    doc = _json_doc(text, parse_float=str)
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
     for field in ("agents", "goods", "valuations"):
@@ -240,12 +250,7 @@ def serialize_instance(instance: Instance) -> str:
 
 def parse_allocation(text) -> Allocation:
     """Parse an allocation document: {"bundles": [[good, ...], ...]}."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # also an integer past the digit cap
-        raise ParseError(f"invalid JSON: {exc}") from None
+    doc = _json_doc(text)
     if not isinstance(doc, dict) or "bundles" not in doc:
         raise ParseError("allocation document must be an object with 'bundles'")
     bundles = doc["bundles"]

@@ -195,8 +195,10 @@ def maximin_exceeds(instance: Instance, agent: int, goods, parts: int,
     """True iff mu_agent^parts(goods) > threshold (no witness; early exit)."""
     if parts < 1:
         raise InputError(f"parts must be >= 1, got {parts}")
-    if isinstance(threshold, float):
-        raise InputError(f"float threshold {threshold!r} rejected; use a Fraction")
+    # checked first: any other type would be multiplied by D before failing
+    if isinstance(threshold, bool) or not isinstance(threshold, (int, Fraction)):
+        raise InputError(f"threshold must be an int or a Fraction, "
+                         f"got {type(threshold).__name__}")
     denom, ints, order = _agent_ints(instance, agent)
     goods = check_bundle(instance, goods)
     # the share times D is an integer, so it beats t*D iff it beats floor(t*D)

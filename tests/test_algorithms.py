@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gmms import (Allocation, InputError, Instance, PolicyError,
+from gmms import (Allocation, BudgetError, InputError, Instance, PolicyError,
                   TieBreakPolicy, build_envy_graph, bundle_value, efl_allocate,
                   exact_gmms_search, gmms_factor, is_ef1, is_efl, is_gmms,
                   lex_dominates, lexmax_allocation, resolve_envy_cycles)
@@ -431,6 +431,16 @@ def test_lexmax_rejects_negative_budget():
         lexmax_allocation(inst, budget=-1)
     with pytest.raises(InputError, match="budget 0 exhausted"):
         lexmax_allocation(inst, budget=0)
+
+
+def test_lexmax_budget_raises_its_own_subclass():
+    # a reached cap is told apart from a malformed instance or budget
+    with pytest.raises(BudgetError):
+        lexmax_allocation(Instance.from_rows([[1] * 6] * 3), budget=3)
+    for rows, budget in (([[1, 2], [2, 1]], None), ([[1, 1], [1, 1]], -1)):
+        with pytest.raises(InputError) as info:
+            lexmax_allocation(Instance.from_rows(rows), budget)
+        assert type(info.value) is InputError
 
 
 def test_lexmax_is_not_bounded_by_recursion_depth():

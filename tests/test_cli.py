@@ -371,6 +371,36 @@ def test_value_past_digit_cap_exits_usage(tmp_path, capsys):
     assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
 
 
+HOSTILE = {"deep": b"[" * 100_000, "not_utf8": b"\xff\xfe{}",
+           "truncated": b'{"bundles": [[0, 1], [2', "long_int": b"7" * 5000}
+
+
+@pytest.mark.parametrize("bad", sorted(HOSTILE))
+@pytest.mark.parametrize("door", ["instance", "allocation", "policy"])
+def test_hostile_document_exits_usage(sec_paths, tmp_path, capsys, door, bad):
+    # each kind of document file goes through the same loader and decoder
+    ipath, _ = sec_paths
+    path = tmp_path / "hostile.json"
+    path.write_bytes(HOSTILE[bad])
+    argv = {"instance": ["mms", str(path), "--agent", "0"],
+            "allocation": ["check", ipath, str(path), "--notion", "mms"],
+            "policy": ["solve-efl", ipath, "--policy", str(path)]}[door]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert str(path) in captured.err
+
+
+def test_fixture_policy_out_rejected_before_any_output(tmp_path, capsys):
+    apath, ppath = tmp_path / "ref.json", tmp_path / "policy.json"
+    assert main(["fixture", "mms_not_ef1", "--allocation-out", str(apath),
+                 "--policy-out", str(ppath)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--policy-out" in captured.err
+    assert not apath.exists() and not ppath.exists()
+
+
 def test_undecodable_document_exits_usage(tmp_path, capsys):
     path = tmp_path / "i.json"
     path.write_bytes(b"\xff\xfe{}")

@@ -143,6 +143,16 @@ def test_parse_instance_rejects_huge_exponent():
         parse_instance('{"agents": 1, "goods": 1, "valuations": [[1e5000]]}')
 
 
+@pytest.mark.parametrize("parse", [parse_instance, parse_allocation])
+@pytest.mark.parametrize("text", [b"[" * 100_000, '{"a": [' * 100_000, b"\xff\xfe{}",
+                                  b'{"bundles": [[0]], "x": "\xe9"}'],
+                         ids=["deep_bytes", "deep_str", "utf16_bom", "latin1"])
+def test_parsers_reject_undecodable_documents(parse, text):
+    # nesting past the recursion limit and bytes that are not UTF-8
+    with pytest.raises(ParseError):
+        parse(text)
+
+
 def test_parse_rejects_integer_past_digit_cap():
     digits = "1" + "0" * 5000
     with pytest.raises(ParseError):

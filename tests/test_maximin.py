@@ -216,8 +216,9 @@ def test_oracles_reject_agent_out_of_range(agent):
 
 def test_exceeds_rejects_float_threshold():
     inst = Instance.from_rows([[1, 2, 3]])
-    with pytest.raises(InputError):
-        maximin_exceeds(inst, 0, range(3), 2, 0.5)
+    for bad in (0.5, "3", True):
+        with pytest.raises(InputError):
+            maximin_exceeds(inst, 0, range(3), 2, bad)
     assert maximin_exceeds(inst, 0, range(3), 2, 2)
     assert not maximin_exceeds(inst, 0, range(3), 2, Fraction(3))
 

@@ -1,5 +1,6 @@
 """Guards that read source files: the benchmark tooling names package
-functions, and the package keeps its searches free of recursion."""
+functions, the package keeps its searches free of recursion, and it decodes
+JSON in one place."""
 
 import ast
 import importlib
@@ -71,4 +72,19 @@ def test_package_has_no_recursion():
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         offenders += [f"{path.name}:{line} {name}" for name, line in self_calls(tree)]
+    assert offenders == []
+
+
+def test_json_is_decoded_only_in_core():
+    # core's one decoder turns every way decoding can fail (bad UTF-8, too
+    # deep nesting, an integer past the digit cap) into a ParseError
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"
+                    or isinstance(node, ast.ImportFrom) and node.module == "json"):
+                offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
