@@ -10,9 +10,9 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .core import (Allocation, BudgetError, Bundle, InputError, Instance,
-                   _is_json_int)
+                   _is_json_int, _quote)
 from .fairness import _efx_violation, _envied, _value_matrix
-from .maximin import _agent_ints, _lpt_seed, _restricted_growth, _violated_group
+from .maximin import _agent_ints, _beating_groups, _lpt_seed, _restricted_growth
 
 
 class PolicyError(ValueError):
@@ -28,7 +28,7 @@ class EnvyGraph:
 
     @staticmethod
     def from_allocation(instance: Instance, bundles: Sequence[Bundle]) -> "EnvyGraph":
-        envied = _envied(_value_matrix(instance, bundles))
+        envied = _envied(_value_matrix(instance.valuations, bundles))
         return EnvyGraph(instance.num_agents,
                          frozenset((i, j) for i, j, _, _ in envied))
 
@@ -113,7 +113,7 @@ class TieBreakPolicy:
             raise PolicyError("policy document must be a JSON object")
         unknown = sorted(set(doc) - {"sources", "goods"})
         if unknown:
-            raise PolicyError(f"unknown policy fields {unknown}")
+            raise PolicyError(f"unknown policy fields {_quote(unknown)}")
 
         def norm(key):
             seq = doc.get(key)
@@ -195,7 +195,7 @@ def efl_allocate(instance: Instance, policy: Optional[TieBreakPolicy] = None,
 def _assert_ef1_wrt_last(instance, bundles, last_good):
     """Loop invariant: dropping the most recent good of any envied bundle
     kills the envy (an envied bundle is never empty)."""
-    for r, s, own, value in _envied(_value_matrix(instance, bundles)):
+    for r, s, own, value in _envied(_value_matrix(instance.valuations, bundles)):
         assert own >= value - instance.valuations[r][last_good[s]], \
             f"partial allocation lost the last-good envy bound ({r} vs {s})"
 
@@ -264,10 +264,10 @@ def exact_gmms_search(instance: Instance, budget: Optional[int] = None) -> Searc
         bundles = [[] for _ in range(n)]  # goods ascending, from the stack
         for g, a in enumerate(holder):
             bundles[a].append(g)
-        sums = ([sum(row[g] for g in b) for b in bundles] for row in rows)
-        if _efx_violation(rows, bundles, sums) is not None:
+        if _efx_violation(rows, bundles, _value_matrix(rows, bundles)) is not None:
             return None
-        if all(_violated_group(ints, order, bundles, i, own[i]) is None
+        if all(next(_beating_groups(ints, order, bundles, i, own[i],
+                                    goal=own[i] + 1), None) is None
                for i, (_, ints, order) in enumerate(agents)):
             return Allocation(tuple(map(frozenset, bundles)))
         return None

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import algorithms, fairness, generator, maximin
-from .core import (InputError, _json_doc, as_value, parse_allocation,
+from .core import (InputError, _json_doc, _quote, as_value, parse_allocation,
                    parse_instance, serialize_allocation, serialize_instance)
 
 EXIT_OK = 0
@@ -196,7 +196,7 @@ def _workers() -> int:
     except ValueError:
         workers = 0
     if workers < 1:
-        raise UsageError(f"GMMS_WORKERS must be a positive integer, got {text!r}")
+        raise UsageError(f"GMMS_WORKERS must be a positive integer, got {_quote(text)}")
     return workers
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -33,6 +34,15 @@ class BudgetError(InputError):
 # Python's default int-string digit cap, which already bounds the digits.
 MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)")
+
+# Quotes outside input in an error message, so that one message stays short
+# whatever the size of the document: nested containers print as [...] and
+# {...}, and at most four items and 20 characters of each item are shown.
+_QUOTE = reprlib.Repr()
+_QUOTE.maxlevel = 1
+_QUOTE.maxlist = _QUOTE.maxdict = 4
+_QUOTE.maxstring = _QUOTE.maxlong = _QUOTE.maxother = 20
+_quote = _QUOTE.repr
 
 
 def as_value(x) -> Fraction:
@@ -60,13 +70,13 @@ def as_value(x) -> Fraction:
         try:
             v = Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad value literal {x!r}: {exc}") from None
+            raise ParseError(f"bad value literal {_quote(x)}") from None
     elif isinstance(x, float):
         raise ParseError(f"float value {x!r} rejected; use a decimal string")
     else:
-        raise ParseError(f"bad value literal {x!r}")
+        raise ParseError(f"bad value literal {_quote(x)}")
     if v < 0:
-        raise ParseError(f"negative value {x!r}")
+        raise ParseError(f"negative value {_quote(x)}")
     return v
 
 
@@ -115,7 +125,8 @@ def check_bundle(instance: Instance, bundle: Iterable[int]) -> Bundle:
     b = frozenset(bundle)
     for g in b:
         if not isinstance(g, int) or not 0 <= g < instance.num_goods:
-            raise InputError(f"good index {g} out of range for {instance.num_goods} goods")
+            raise InputError(f"good index {_quote(g)} out of range for "
+                             f"{instance.num_goods} goods")
     return b
 
 
@@ -148,7 +159,7 @@ class Allocation:
                 raise InputError(f"bundles[{i}] is not a frozenset")
             overlap = seen & b
             if overlap:
-                raise InputError(f"bundles overlap on goods {sorted(overlap)}")
+                raise InputError(f"bundles overlap on goods {_quote(sorted(overlap))}")
             seen |= b
 
     @staticmethod
@@ -223,9 +234,9 @@ def parse_instance(text) -> Instance:
             raise ParseError(f"missing field {field!r}")
     n, m, rows = doc["agents"], doc["goods"], doc["valuations"]
     if not _is_json_int(n) or n < 1:
-        raise ParseError(f"field 'agents' must be a positive integer, got {n!r}")
+        raise ParseError(f"field 'agents' must be a positive integer, got {_quote(n)}")
     if not _is_json_int(m) or m < 0:
-        raise ParseError(f"field 'goods' must be a nonnegative integer, got {m!r}")
+        raise ParseError(f"field 'goods' must be a nonnegative integer, got {_quote(m)}")
     if not isinstance(rows, list) or len(rows) != n:
         raise ParseError(f"field 'valuations' must list {n} rows")
     vals = []

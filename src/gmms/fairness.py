@@ -12,8 +12,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import Allocation, InputError, Instance, bundle_value
-from .maximin import (_agent_ints, _violated_group, gmms_threshold,
-                      maximin_share)
+from .maximin import _agent_ints, _beating_groups, gmms_threshold
 
 
 class Notion(str, enum.Enum):
@@ -65,12 +64,11 @@ class FairnessReport:
         return doc
 
 
-def _value_matrix(instance: Instance, bundles):
-    """Row i: agent i's exact value of every bundle. Rows are computed as
-    they are read, so a check that stops at its first violation skips the
-    rest."""
-    return ([bundle_value(instance, i, b) for b in bundles]
-            for i in range(instance.num_agents))
+def _value_matrix(rows, bundles):
+    """Row i: agent i's value of every bundle, in the units of rows[i].
+    Rows are computed as they are read, so a check that stops at its first
+    violation skips the rest."""
+    return ([sum(row[g] for g in b) for b in bundles] for row in rows)
 
 
 def _envied(sums):
@@ -99,7 +97,7 @@ def _efx_violation(rows, bundles, sums):
 def is_envy_free(instance: Instance, allocation: Allocation) -> FairnessReport:
     """v_i(A_i) >= v_i(A_j) for all pairs."""
     allocation.validate(instance, require_complete=True)
-    for i, j, own, value in _envied(_value_matrix(instance, allocation.bundles)):
+    for i, j, own, value in _envied(_value_matrix(instance.valuations, allocation.bundles)):
         return FairnessReport(Notion.EF, False,
                               Violation(i, (j,), lhs=own, rhs=value))
     return FairnessReport(Notion.EF, True)
@@ -111,7 +109,7 @@ def is_ef1(instance: Instance, allocation: Allocation) -> FairnessReport:
     Empty bundles are never envied: v_i(A_i) >= 0 = v_i(empty).
     """
     allocation.validate(instance, require_complete=True)
-    for i, j, own, value in _envied(_value_matrix(instance, allocation.bundles)):
+    for i, j, own, value in _envied(_value_matrix(instance.valuations, allocation.bundles)):
         row = instance.valuations[i]
         top = max(allocation.bundles[j], key=lambda g: (row[g], -g))
         if own < value - row[top]:
@@ -126,7 +124,7 @@ def is_efx(instance: Instance, allocation: Allocation) -> FairnessReport:
     allocation.validate(instance, require_complete=True)
     found = _efx_violation(instance.valuations,
                            [sorted(b) for b in allocation.bundles],
-                           _value_matrix(instance, allocation.bundles))
+                           _value_matrix(instance.valuations, allocation.bundles))
     if found is None:
         return FairnessReport(Notion.EFX, True)
     i, j, g, own, rest = found
@@ -139,7 +137,7 @@ def is_efl(instance: Instance, allocation: Allocation) -> FairnessReport:
     some good both kills the envy when removed and is worth no more than the
     envious agent's own bundle."""
     allocation.validate(instance, require_complete=True)
-    for i, j, own, value in _envied(_value_matrix(instance, allocation.bundles)):
+    for i, j, own, value in _envied(_value_matrix(instance.valuations, allocation.bundles)):
         row, bundle = instance.valuations[i], allocation.bundles[j]
         if sum(row[g] > 0 for g in bundle) <= 1:
             continue
@@ -154,17 +152,16 @@ def is_efl(instance: Instance, allocation: Allocation) -> FairnessReport:
 def _group_violation(instance: Instance, allocation: Allocation,
                      size: Optional[int] = None) -> Optional[Violation]:
     """First agent and group (of `size`, or of any size) whose pooled share
-    exceeds the agent's own value; only that group's witness is computed.
-    The test runs in the agent's integer units (see maximin._agent_ints)."""
+    exceeds the agent's own value, searched in her integer units (see
+    maximin._agent_ints) in optimisation form from the own value, so one
+    search gives the share and the witness maximin_share would give."""
     for i in range(instance.num_agents):
         denom, ints, order = _agent_ints(instance, i)
         own = sum(ints[g] for g in allocation.bundles[i])
-        found = _violated_group(ints, order, allocation.bundles, i, own, size)
-        if found is not None:
-            group, pooled = found
-            result = maximin_share(instance, i, pooled, len(group))
-            return Violation(i, group, partition=result.witness,
-                             lhs=Fraction(own, denom), rhs=result.value)
+        for group, value, witness in _beating_groups(
+                ints, order, allocation.bundles, i, own, size):
+            return Violation(i, group, partition=witness,
+                             lhs=Fraction(own, denom), rhs=Fraction(value, denom))
     return None
 
 

@@ -5,12 +5,14 @@ row once by the lcm D of its denominators, so all of that agent's shares,
 over any pool of goods, are integers in units of 1/D. ``_best_partition`` is
 the single branch-and-bound, a loop over an explicit stack with a
 water-filling bound: it looks for a partition whose min beats a floor and
-stops at a goal. ``maximin_share`` and ``mms`` use its optimisation form,
-``maximin_exceeds`` and the fairness checkers its decision form (floor t,
-goal t+1), and ``gmms_threshold`` passes the best share so far as the floor,
-so groups that cannot beat it cost no search. Fractions appear only in
-results. ``maximin_share_naive`` is the unpruned enumeration oracle used to
-cross-check it.
+stops at a goal; ``_pool_share``, its one caller, adds the witness.
+``_beating_groups``, the one group walker, yields each group whose pooled
+share beats the floor so far. ``maximin_share`` uses the optimisation form,
+``maximin_exceeds`` and the exact search's leaves the decision form (floor
+t, goal t+1), the fairness checkers the optimisation form from the agent's
+own value, and ``gmms_threshold`` the walker's last yield from floor -1.
+Fractions appear only in results. ``maximin_share_naive`` is the unpruned
+enumeration oracle used to cross-check it.
 """
 
 from __future__ import annotations
@@ -152,15 +154,15 @@ def _best_partition(vals, k, floor=-1, goal=None):
     return best, best_assign
 
 
-def _pool_share(ints, order, goods: Bundle, parts: int, floor=-1):
+def _pool_share(ints, order, goods: Bundle, parts: int, floor=-1, goal=None):
     """(value, witness) of the agent's parts-share of `goods` in D units if it
-    beats `floor`, else (floor, None).
+    beats `floor`, else (floor, None); `goal` as in _best_partition.
 
     Zero-valued goods never affect the value; they are left out of the search
     and returned in the first witness bundle.
     """
     positive = [g for g in order if g in goods]
-    best, assign = _best_partition([ints[g] for g in positive], parts, floor)
+    best, assign = _best_partition([ints[g] for g in positive], parts, floor, goal)
     if assign is None:
         return best, None
     witness = [set() for _ in range(parts)]
@@ -168,12 +170,6 @@ def _pool_share(ints, order, goods: Bundle, parts: int, floor=-1):
         witness[j].add(g)
     witness[0].update(goods.difference(positive))
     return best, tuple(frozenset(b) for b in witness)
-
-
-def _exceeds(ints, order, goods: Bundle, parts: int, floor: int) -> bool:
-    """Decision form in D units: is the agent's parts-share of `goods` > floor?"""
-    vals = [ints[g] for g in order if g in goods]
-    return _best_partition(vals, parts, floor, floor + 1)[1] is not None
 
 
 def maximin_share(instance: Instance, agent: int, goods, parts: int) -> MaximinResult:
@@ -202,7 +198,8 @@ def maximin_exceeds(instance: Instance, agent: int, goods, parts: int,
     denom, ints, order = _agent_ints(instance, agent)
     goods = check_bundle(instance, goods)
     # the share times D is an integer, so it beats t*D iff it beats floor(t*D)
-    return _exceeds(ints, order, goods, parts, math.floor(threshold * denom))
+    floor = math.floor(threshold * denom)
+    return _pool_share(ints, order, goods, parts, floor, floor + 1)[1] is not None
 
 
 def _restricted_growth(m: int, k: int):
@@ -286,31 +283,33 @@ def _group_pools(bundles, agent: int, size: Optional[int] = None):
         yield group, frozenset().union(*(bundles[j] for j in group))
 
 
-def _violated_group(ints, order, bundles, agent: int, own: int,
-                    size: Optional[int] = None):
-    """(group, pooled goods) of the first group containing `agent` (of
-    `size`, or of any size) whose pooled share exceeds `own`, all in the
-    agent's D units; None if there is none."""
+def _beating_groups(ints, order, bundles, agent: int, floor=-1,
+                    size: Optional[int] = None, goal=None):
+    """(group, value, witness) in the agent's D units for each group
+    containing `agent` (of `size`, or of any size) whose pooled share beats
+    `floor`, which each yield then raises to that value; `goal` as in
+    _best_partition. A group that cannot beat the floor costs no witness.
+    """
     for group, pooled in _group_pools(bundles, agent, size):
-        if _exceeds(ints, order, pooled, len(group), own):
-            return group, pooled
-    return None
+        value, witness = _pool_share(ints, order, pooled, len(group), floor, goal)
+        if witness is not None:
+            floor = value
+            yield group, value, witness
 
 
 def gmms_threshold(instance: Instance, allocation: Allocation, agent: int) -> GmmsThreshold:
     """Max over groups J containing `agent` of mu_agent^|J|(union of J's bundles).
 
-    The best share so far is the floor of every later group's search, so a
-    group whose averaging cap cannot beat it costs no search, and a witness
-    is built only for a strict improvement: the witness group is the first
-    group reaching the maximum. Groups containing another agent with an
-    empty bundle are skipped (see _group_pools).
+    The last group that _beating_groups yields from floor -1: the best share
+    so far is the floor of every later group's search, so a group whose
+    averaging cap cannot beat it costs no search, and the witness group is
+    the first group reaching the maximum. Groups containing another agent
+    with an empty bundle are skipped (see _group_pools).
     """
     allocation.validate(instance, require_complete=True)
     denom, ints, order = _agent_ints(instance, agent)
-    best, best_group, best_witness = -1, None, None
-    for group, pooled in _group_pools(allocation.bundles, agent):
-        value, witness = _pool_share(ints, order, pooled, len(group), best)
-        if witness is not None:
-            best, best_group, best_witness = value, group, witness
-    return GmmsThreshold(Fraction(best, denom), best_group, best_witness)
+    # the agent alone beats floor -1, so the walker yields at least once
+    for group, value, witness in _beating_groups(ints, order,
+                                                 allocation.bundles, agent):
+        pass
+    return GmmsThreshold(Fraction(value, denom), group, witness)

@@ -10,7 +10,7 @@ from gmms import (Allocation, BudgetError, InputError, Instance, PolicyError,
                   lex_dominates, lexmax_allocation, resolve_envy_cycles)
 from gmms.algorithms import EnvyGraph
 from gmms.fairness import _efx_violation
-from gmms.maximin import _agent_ints, _lpt_seed, _violated_group
+from gmms.maximin import _agent_ints, _beating_groups, _lpt_seed
 from gmms.generator import (GenSpec, efl_tight, efl_tight_policy, generate,
                             mms_not_ef1)
 
@@ -281,7 +281,8 @@ def placement_loop_search(instance, budget=None):
         sums = [[sum(row[g] for g in b) for b in bundles] for row in rows]
         if _efx_violation(rows, bundles, sums) is not None:
             return None
-        if all(_violated_group(ints, order, bundles, i, own[i]) is None
+        if all(next(_beating_groups(ints, order, bundles, i, own[i],
+                                    goal=own[i] + 1), None) is None
                for i, (_, ints, order) in enumerate(agents)):
             return Allocation(tuple(map(frozenset, bundles)))
         return None

@@ -283,13 +283,13 @@ def test_boolean_documents_exit_usage(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
+@pytest.mark.parametrize("value", ["abc", "0", "x" * 100_000])
 def test_experiment_bad_workers_exit_usage(monkeypatch, capsys, value):
     monkeypatch.setenv("GMMS_WORKERS", value)
     assert main(["experiment", "--n-min", "2", "--n-max", "2",
                  "--m-min", "2", "--m-max", "2", "--count", "1"]) == 2
     captured = capsys.readouterr()
-    assert "GMMS_WORKERS" in captured.err
+    assert "GMMS_WORKERS" in captured.err and len(captured.err) < 300
     assert captured.out == ""
 
 
@@ -390,6 +390,47 @@ def test_hostile_document_exits_usage(sec_paths, tmp_path, capsys, door, bad):
     assert captured.out == ""
     assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
     assert str(path) in captured.err
+
+
+BIG = 100_000
+LONG_INPUT = {  # case: (door, document, the field the message must name)
+    "list_value": ("instance", {"agents": 1, "goods": 1,
+                                "valuations": [[[0] * BIG]]}, "valuations[0]"),
+    "bad_string": ("instance", {"agents": 1, "goods": 1,
+                                "valuations": [["x" * BIG]]}, "valuations[0]"),
+    # Fraction() accepts surrounding blanks, so this literal parses as -1
+    "negative": ("instance", {"agents": 1, "goods": 1,
+                              "valuations": [["-1" + " " * BIG]]}, "valuations[0]"),
+    "agents": ("instance", {"agents": [0] * BIG, "goods": 1, "valuations": []},
+               "'agents'"),
+    "goods": ("instance", {"agents": 1, "goods": [0] * BIG, "valuations": [[]]},
+              "'goods'"),
+    "overlap": ("allocation", {"bundles": [list(range(BIG))] * 2}, "overlap"),
+    "good_index": ("allocation", {"bundles": [[10 ** 4000], [], [], []]},
+                   "good index"),
+    "policy_fields": ("policy", {f"field{i}": None for i in range(BIG)},
+                      "unknown policy fields"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_INPUT))
+def test_long_input_gives_one_short_error_line(sec_paths, tmp_path, capsys, case):
+    # an error message quotes outside input only in part, so its one line
+    # does not grow with the document
+    ipath, _ = sec_paths
+    door, doc, field = LONG_INPUT[case]
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    argv = {"instance": ["mms", str(path), "--agent", "0"],
+            "allocation": ["check", ipath, str(path), "--notion", "mms"],
+            "policy": ["solve-efl", ipath, "--policy", str(path)]}[door]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    prefix = f"error: {path}: "
+    assert captured.err.startswith(prefix)
+    message = captured.err[len(prefix):]
+    assert len(message) < 300 and field in message, message
 
 
 def test_fixture_policy_out_rejected_before_any_output(tmp_path, capsys):

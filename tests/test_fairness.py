@@ -6,7 +6,8 @@ import pytest
 
 from gmms import (Allocation, InputError, Instance, bundle_value, gmms_factor,
                   is_ef1, is_efl, is_efx, is_envy_free, is_gmms,
-                  is_kwise_fair, is_mms, is_pmms, maximin_share_naive)
+                  is_kwise_fair, is_mms, is_pmms, maximin_share,
+                  maximin_share_naive)
 from gmms.generator import (efl_tight, kwise_boundary, mms_not_ef1,
                             mms_not_gmms, single_good_two_agents)
 
@@ -256,6 +257,9 @@ def test_group_checkers_match_naive_reference(seed):
         assert frozenset().union(*w.partition) == pooled
         assert sum(len(b) for b in w.partition) == len(pooled)
         assert min(bundle_value(inst, agent, b) for b in w.partition) == share
+        # the witness `gmms check` prints: the floor-own search's partition
+        # is the one the optimisation form finds from floor -1
+        assert w.partition == maximin_share(inst, agent, pooled, len(group)).witness
 
 
 # Fraction-only reference loops for the envy notions: every ordered pair,

@@ -354,6 +354,7 @@ def test_best_partition_matches_recursive_oracle(monkeypatch):
         return search(*args), placements[-1]
 
     rng = random.Random(2024)
+    below = 0  # cases whose floor lies below the optimum
     for case in range(2000):
         p, k = rng.randrange(0, 13), rng.randrange(1, 7)
         kind = case % 3
@@ -372,10 +373,18 @@ def test_best_partition_matches_recursive_oracle(monkeypatch):
         forms.append((vals, k, floor, floor + 1))  # decision form
         goal = rng.randrange(floor + 1, cap + 3)
         forms.append((vals, k, floor, goal))  # stop at a goal
+        results = []
         for args in forms:
-            assert (run(maximin._best_partition, args)
-                    == run(recursive_best_partition, args)), args
+            result = run(maximin._best_partition, args)
+            assert result == run(recursive_best_partition, args), args
+            results.append(result[0])
+        # from a floor below the optimum, the optimisation form finds the
+        # same partition as from floor -1; the group walker relies on it
+        if floor < results[0][0]:
+            below += 1
+            assert results[1] == results[0], (vals, k, floor)
     assert sum(placements) > 100_000
+    assert below > 500
 
 
 def long_pool_instance():

@@ -1,6 +1,7 @@
 """Guards that read source files: the benchmark tooling names package
-functions, the package keeps its searches free of recursion, and it decodes
-JSON in one place."""
+functions, the package keeps its searches free of recursion, it decodes
+JSON in one place, and it reaches the share kernel and the group loop each
+through one door."""
 
 import ast
 import importlib
@@ -88,3 +89,43 @@ def test_json_is_decoded_only_in_core():
                     or isinstance(node, ast.ImportFrom) and node.module == "json"):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def references(tree, name):
+    """(function, line) of every use of `name`: as a bare name, an attribute
+    or an imported name. `function` is the innermost enclosing def, or None
+    at module level."""
+    spans = [(fn.lineno, fn.end_lineno, fn.name) for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.ImportFrom)
+                and any(alias.name == name for alias in node.names)):
+            inner = [span for span in spans if span[0] <= node.lineno <= span[1]]
+            found.append((max(inner)[2] if inner else None, node.lineno))
+    return sorted(found, key=lambda use: use[1])
+
+
+def test_references_are_detected():
+    tree = ast.parse("from m import kernel\n"
+                     "def outer():\n"
+                     "    def inner():\n"
+                     "        return kernel()\n"
+                     "    return m.kernel, inner\n"
+                     "alias = kernel\n")
+    assert references(tree, "kernel") == [(None, 1), ("inner", 4), ("outer", 5),
+                                          (None, 6)]
+
+
+def test_share_kernel_and_group_loop_have_one_caller():
+    # every share search goes through _pool_share, which maps goods to the
+    # kernel and builds the witness, and every walk over groups through
+    # _beating_groups, so a change to either is made in one place
+    for name, door in (("_best_partition", "_pool_share"),
+                       ("_group_pools", "_beating_groups")):
+        users = [(path.name, fn) for path in sorted(PACKAGE.glob("*.py"))
+                 for fn, _ in references(ast.parse(path.read_text(encoding="utf-8")),
+                                         name)]
+        assert users == [("maximin.py", door)], name
