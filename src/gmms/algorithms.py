@@ -158,12 +158,14 @@ def efl_allocate(instance: Instance, policy: Optional[TieBreakPolicy] = None,
         rotations = 0
         while not graph.sources():
             cycle = graph.find_cycle()
-            assert cycle is not None, "sourceless envy graph must contain a cycle"
+            if cycle is None:
+                raise AssertionError("sourceless envy graph must contain a cycle")
             _rotate_cycle(bundles, cycle)
             _rotate_cycle(last_good, cycle)
             graph = EnvyGraph.from_allocation(instance, bundles)
             rotations += 1
-            assert rotations <= n * n, "cycle resolution failed to terminate"
+            if rotations > n * n:
+                raise AssertionError("cycle resolution failed to terminate")
         sources = graph.sources()
         agent = min(sources)
         if policy is not None:
@@ -196,8 +198,9 @@ def _assert_ef1_wrt_last(instance, bundles, last_good):
     """Loop invariant: dropping the most recent good of any envied bundle
     kills the envy (an envied bundle is never empty)."""
     for r, s, own, value in _envied(_value_matrix(instance.valuations, bundles)):
-        assert own >= value - instance.valuations[r][last_good[s]], \
-            f"partial allocation lost the last-good envy bound ({r} vs {s})"
+        if own < value - instance.valuations[r][last_good[s]]:
+            raise AssertionError(
+                f"partial allocation lost the last-good envy bound ({r} vs {s})")
 
 
 @dataclass(frozen=True)

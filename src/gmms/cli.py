@@ -72,8 +72,9 @@ def cmd_solve_efl(args) -> int:
         args.policy, lambda text: algorithms.TieBreakPolicy.from_doc(_json_doc(text)))
     allocation = algorithms.efl_allocate(instance, policy)
     factor = fairness.gmms_factor(instance, allocation)
-    assert factor is None or factor >= Fraction(1, 2), \
-        "allocator fell below the guaranteed half of a groupwise share"
+    if factor is not None and factor < Fraction(1, 2):
+        raise RuntimeError(
+            "allocator fell below the guaranteed half of a groupwise share")
     doc = serialize_allocation(allocation)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -86,9 +87,11 @@ def cmd_solve_efl(args) -> int:
 
 
 def cmd_check(args) -> int:
+    notion = args.notion.upper()
+    if notion != "KWISE" and args.k is not None:
+        raise UsageError("--k only applies to --notion kwise")
     instance = _load(args.instance, parse_instance)
     allocation = _load(args.allocation, parse_allocation, instance)
-    notion = args.notion.upper()
     if notion == "KWISE":
         if args.k is None:
             raise UsageError("--notion kwise requires --k")

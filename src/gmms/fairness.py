@@ -154,7 +154,8 @@ def _group_violation(instance: Instance, allocation: Allocation,
     """First agent and group (of `size`, or of any size) whose pooled share
     exceeds the agent's own value, searched in her integer units (see
     maximin._agent_ints) in optimisation form from the own value, so one
-    search gives the share and the witness maximin_share would give."""
+    search gives the share and the witness maximin_share would give. Only
+    groups whose bundles she values above her own on average are pooled."""
     for i in range(instance.num_agents):
         denom, ints, order = _agent_ints(instance, i)
         own = sum(ints[g] for g in allocation.bundles[i])

@@ -7,10 +7,14 @@ the single branch-and-bound, a loop over an explicit stack with a
 water-filling bound: it looks for a partition whose min beats a floor and
 stops at a goal; ``_pool_share``, its one caller, adds the witness.
 ``_beating_groups``, the one group walker, yields each group whose pooled
-share beats the floor so far. ``maximin_share`` uses the optimisation form,
-``maximin_exceeds`` and the exact search's leaves the decision form (floor
-t, goal t+1), the fairness checkers the optimisation form from the agent's
-own value, and ``gmms_threshold`` the walker's last yield from floor -1.
+share beats the floor so far; its pool builder ``_group_pools`` never pools
+a group whose summed bundle value is at most the group size times the
+floor, as such a group's averaging cap cannot beat it, and walks the
+groups depth first so that whole runs of them are dropped at once.
+``maximin_share`` uses the optimisation form, ``maximin_exceeds`` and the
+exact search's leaves the decision form (floor t, goal t+1), the fairness
+checkers the optimisation form from the agent's own value, and
+``gmms_threshold`` the walker's last yield from floor -1.
 Fractions appear only in results. ``maximin_share_naive`` is the unpruned
 enumeration oracle used to cross-check it.
 """
@@ -261,7 +265,8 @@ def mms(instance: Instance, agent: int) -> MaximinResult:
 
 
 def iter_groups(num_agents: int, agent: int, size: Optional[int] = None):
-    """Groups containing `agent`, by increasing size then lexicographic."""
+    """Groups containing `agent`, by increasing size then lexicographic: the
+    order _group_pools keeps, here unpruned."""
     sizes = range(1, num_agents + 1) if size is None else (size,)
     for k in sizes:
         for combo in itertools.combinations(range(num_agents), k):
@@ -269,18 +274,48 @@ def iter_groups(num_agents: int, agent: int, size: Optional[int] = None):
                 yield combo
 
 
-def _group_pools(bundles, agent: int, size: Optional[int] = None):
-    """(group, pooled goods) for the groups containing `agent`, in
-    iter_groups order.
+def _group_pools(ints, bundles, agent: int, floor, size: Optional[int] = None):
+    """(group, pooled goods) for each group containing `agent` (of `size`, or
+    of any size) that can beat the floor, in iter_groups order. `floor` is a
+    one-item list that the caller raises as it goes; every test reads its
+    current value.
 
-    For all sizes, groups with an empty-bundle co-member are skipped: dropping
-    that member keeps the pooled goods and lowers the part count, which can
-    only raise the share, and the reduced group comes earlier in the order.
+    A group J can beat floor f only if the summed value W of its bundles
+    exceeds |J|*f, since the share is at most the averaging cap W/|J| (see
+    _best_partition); the other groups are never pooled. For each size,
+    the co-members are chosen by a depth-first walk over index combinations
+    in lexicographic order, which is iter_groups order. A prefix with r open
+    slots is dropped, with every later choice at its depth, once its W plus
+    r times the largest bundle value left to choose from is at most |J|*f;
+    the floor only rises, so no dropped group could win later. For all
+    sizes, groups with an empty-bundle co-member are skipped: dropping that
+    member keeps the pooled goods and lowers the part count, which can only
+    raise the share, and the reduced group comes earlier in the order.
     """
-    for group in iter_groups(len(bundles), agent, size):
-        if size is None and any(j != agent and not bundles[j] for j in group):
-            continue
-        yield group, frozenset().union(*(bundles[j] for j in group))
+    w = [sum(ints[g] for g in b) for b in bundles]  # bundle values, D units
+    others = [j for j in range(len(bundles))
+              if j != agent and (size is not None or bundles[j])]
+    top = [0] * (len(others) + 1)  # top[t]: the largest w among others[t:]
+    for t in range(len(others) - 1, -1, -1):
+        top[t] = max(top[t + 1], w[others[t]])
+    for k in range(1, len(others) + 2) if size is None else (size,):
+        chosen, total, t = [], w[agent], 0  # positions in `others`, ascending
+        while True:
+            slots = k - 1 - len(chosen)
+            if not slots:
+                if total > k * floor[0]:
+                    group = tuple(sorted([agent] + [others[c] for c in chosen]))
+                    yield group, frozenset().union(*(bundles[j] for j in group))
+            elif t + slots <= len(others) and total + slots * top[t] > k * floor[0]:
+                chosen.append(t)
+                total += w[others[t]]
+                t += 1
+                continue
+            if not chosen:
+                break
+            t = chosen.pop()  # take the last co-member back, try the next
+            total -= w[others[t]]
+            t += 1
 
 
 def _beating_groups(ints, order, bundles, agent: int, floor=-1,
@@ -288,12 +323,15 @@ def _beating_groups(ints, order, bundles, agent: int, floor=-1,
     """(group, value, witness) in the agent's D units for each group
     containing `agent` (of `size`, or of any size) whose pooled share beats
     `floor`, which each yield then raises to that value; `goal` as in
-    _best_partition. A group that cannot beat the floor costs no witness.
+    _best_partition. A group whose summed bundle value cannot beat the
+    floor is never pooled (see _group_pools), and a pooled group whose
+    share cannot beat it costs no witness.
     """
-    for group, pooled in _group_pools(bundles, agent, size):
-        value, witness = _pool_share(ints, order, pooled, len(group), floor, goal)
+    floor = [floor]
+    for group, pooled in _group_pools(ints, bundles, agent, floor, size):
+        value, witness = _pool_share(ints, order, pooled, len(group), floor[0], goal)
         if witness is not None:
-            floor = value
+            floor[0] = value
             yield group, value, witness
 
 
@@ -302,9 +340,9 @@ def gmms_threshold(instance: Instance, allocation: Allocation, agent: int) -> Gm
 
     The last group that _beating_groups yields from floor -1: the best share
     so far is the floor of every later group's search, so a group whose
-    averaging cap cannot beat it costs no search, and the witness group is
-    the first group reaching the maximum. Groups containing another agent
-    with an empty bundle are skipped (see _group_pools).
+    summed bundle value cannot beat it is not even pooled, and the witness
+    group is the first group reaching the maximum. Groups containing
+    another agent with an empty bundle are skipped (see _group_pools).
     """
     allocation.validate(instance, require_complete=True)
     denom, ints, order = _agent_ints(instance, agent)

@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -464,3 +468,26 @@ def test_debug_invariant_holds_through_rotations(monkeypatch):
     inst = Instance.from_rows([[3, 1, 4, 4, 2], [1, 0, 3, 0, 1], [4, 1, 3, 0, 0]])
     assert efl_allocate(inst, debug=True) == efl_allocate(inst)
     assert rotated
+
+
+def test_debug_invariant_is_checked_under_optimize():
+    # `python -O` strips assert statements; the invariant raises explicitly,
+    # so a last good left behind by a cycle still fails the debug run there
+    script = (
+        "from gmms import Instance, algorithms\n"
+        "real = algorithms._rotate_cycle\n"
+        "def bundles_only(per_agent, cycle):\n"
+        "    if all(isinstance(b, frozenset) for b in per_agent):\n"
+        "        real(per_agent, cycle)\n"
+        "algorithms._rotate_cycle = bundles_only\n"
+        "inst = Instance.from_rows([[3, 1, 4, 4, 2], [1, 0, 3, 0, 1], [4, 1, 3, 0, 0]])\n"
+        "algorithms.efl_allocate(inst, debug=True)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for flags in ([], ["-O"]):
+        done = subprocess.run([sys.executable, *flags, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1, (flags, done.stderr)
+        assert "AssertionError: partial allocation lost the last-good envy bound" \
+            in done.stderr, flags

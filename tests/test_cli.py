@@ -42,6 +42,16 @@ def test_check_kwise_needs_k(sec_paths, capsys):
     assert main(["check", ipath, apath, "--notion", "kwise", "--k", "2"]) == 1
 
 
+@pytest.mark.parametrize("notion", ["ef", "mms", "pmms", "gmms"])
+def test_check_k_rejected_for_other_notions(sec_paths, capsys, notion):
+    # --k names a group size only for kwise; any other notion would ignore it
+    ipath, apath = sec_paths
+    assert main(["check", ipath, apath, "--notion", notion, "--k", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: --k only applies to --notion kwise"]
+
+
 def test_check_missing_file(tmp_path):
     assert main(["check", str(tmp_path / "nope.json"),
                  str(tmp_path / "nope2.json"), "--notion", "ef"]) == 2

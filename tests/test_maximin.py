@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from gmms import (Allocation, InputError, Instance, MaximinResult,
-                  bundle_value, gmms_threshold, maximin_exceeds, maximin_share,
-                  maximin_share_naive, mms)
-from gmms.maximin import iter_groups
+from gmms import (Allocation, GenSpec, InputError, Instance, MaximinResult,
+                  bundle_value, efl_allocate, generate, gmms_threshold, is_gmms,
+                  maximin, maximin_exceeds, maximin_share, maximin_share_naive,
+                  mms)
+from gmms.maximin import (_agent_ints, _beating_groups, _group_pools, _pool_share,
+                          iter_groups)
 from gmms.generator import efl_tight, kwise_boundary, mms_not_gmms
 
 
@@ -256,6 +258,110 @@ def test_gmms_threshold_is_first_strict_maximum(seed):
         pooled = frozenset().union(*(alloc.bundles[j] for j in group))
         check_witness(inst, agent, MaximinResult(t.value, t.witness_partition),
                       pooled, len(group))
+
+
+def unpruned_beating_groups(ints, order, bundles, agent, floor=-1, size=None,
+                            goal=None):
+    """The walker without its prune: every group in iter_groups order, but
+    for the empty co-member skip, is pooled and handed to the kernel."""
+    for group in iter_groups(len(bundles), agent, size):
+        if size is None and any(j != agent and not bundles[j] for j in group):
+            continue
+        pooled = frozenset().union(*(bundles[j] for j in group))
+        value, witness = _pool_share(ints, order, pooled, len(group), floor, goal)
+        if witness is not None:
+            floor = value
+            yield group, value, witness
+
+
+def walker_case(rng, n):
+    """Small integer or fractional rows with ties and zeros, sometimes an
+    all-zero row, and a random allocation, often with empty bundles."""
+    m = rng.randrange(0, 2 * n + 3)
+    pick = rng.choice([[0, 1, 1, 2], [0, 0, 1, 2, 3, 5],
+                       [Fraction(1, 2), Fraction(1, 3), 1, 0]])
+    rows = [[rng.choice(pick) for _ in range(m)] for _ in range(n)]
+    if rng.random() < 0.2:
+        rows[rng.randrange(n)] = [0] * m
+    return Instance.from_rows(rows), random_allocation(rng, n, m)
+
+
+def test_walker_matches_unpruned_loop():
+    # the prune drops only groups whose summed bundle value cannot beat the
+    # floor, so every yield, and the floor each one sets, is unchanged
+    rng = random.Random(4242)
+    walks = 0
+    for case in range(64):
+        n = case % 8 + 1
+        inst, alloc = walker_case(rng, n)
+        for agent in range(n):
+            _, ints, order = _agent_ints(inst, agent)
+            own = sum(ints[g] for g in alloc.bundles[agent])
+            floors = (-1, own, rng.randrange(0, sum(ints) + 2))
+            for size, floor, goal in itertools.product(
+                    (None, *range(1, n + 1)), floors, (None, own + 1)):
+                args = (ints, order, alloc.bundles, agent, floor, size, goal)
+                assert (list(_beating_groups(*args))
+                        == list(unpruned_beating_groups(*args))), (case, args)
+                walks += 1
+    assert walks == 11520
+
+
+def pool_share_calls(monkeypatch, call):
+    """call()'s result and the number of groups it pooled for the kernel."""
+    calls = []
+    real = maximin._pool_share
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(maximin, "_pool_share", spy)
+        return call(), len(calls)
+
+
+def test_pooled_group_counts_pinned(monkeypatch):
+    # no result changes when the prune gets weaker, so pin how many groups
+    # reach the share kernel; the unpruned loop pools 6146 groups for is_gmms
+    # and 2048 per agent for gmms_threshold here
+    inst = generate(GenSpec(12, 36, "uniform", False, 1))
+    alloc = efl_allocate(inst)
+    report, calls = pool_share_calls(monkeypatch, lambda: is_gmms(inst, alloc))
+    assert (report.witness.agent, report.witness.other) == (3, (0, 3))
+    assert calls == 1
+    counts = [pool_share_calls(monkeypatch,
+                               lambda: gmms_threshold(inst, alloc, i))[1]
+              for i in range(12)]
+    assert counts == [1, 1, 1, 2, 2, 3, 1, 1, 1, 3, 5, 1]
+
+
+def test_walker_is_output_sensitive_at_n16(monkeypatch):
+    # 16 agents have 2**15 groups each; the first violation is found after
+    # pooling 3 of the 393,223 groups the unpruned loop pools. From agent
+    # 12's own value, 8 of her 32,768 groups can beat it by summed value,
+    # and the walk reads the floor 660 times to find them
+    inst = generate(GenSpec(16, 48, "uniform", False, 1))
+    alloc = efl_allocate(inst)
+    report, calls = pool_share_calls(monkeypatch, lambda: is_gmms(inst, alloc))
+    assert report.witness.to_doc() == {
+        "agent": 12, "other": [5, 12], "lhs": "606009/250000",
+        "rhs": "2439333/1000000",
+        "partition": [[14, 27, 40], [13, 30, 37, 38]]}
+    assert calls == 3
+
+    class CountingFloor(list):
+        reads = 0
+
+        def __getitem__(self, i):
+            self.reads += 1
+            return super().__getitem__(i)
+
+    _, ints, _ = _agent_ints(inst, 12)
+    floor = CountingFloor([sum(ints[g] for g in alloc.bundles[12])])
+    groups = [group for group, _ in _group_pools(ints, alloc.bundles, 12, floor)]
+    assert groups[:3] == [(2, 12), (5, 12), (11, 12)]
+    assert (len(groups), floor.reads) == (8, 660)
 
 
 def recursive_rgs(m, k):

@@ -1,7 +1,7 @@
 """Guards that read source files: the benchmark tooling names package
-functions, the package keeps its searches free of recursion, it decodes
-JSON in one place, and it reaches the share kernel and the group loop each
-through one door."""
+functions, the package keeps its searches free of recursion and its checks
+free of assert statements, it decodes JSON in one place, and it reaches the
+share kernel and the group loop each through one door."""
 
 import ast
 import importlib
@@ -73,6 +73,32 @@ def test_package_has_no_recursion():
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         offenders += [f"{path.name}:{line} {name}" for name, line in self_calls(tree)]
+    assert offenders == []
+
+
+def assert_lines(tree):
+    """Line of each assert statement: `python -O` strips them, so a check
+    written as one does not run there."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert))
+
+
+def test_asserts_are_detected():
+    tree = ast.parse("def f(x):\n"
+                     "    assert x, 'x'\n"
+                     "    if not x:\n"
+                     "        raise AssertionError('x')\n"
+                     "    return [y for y in x if y]\n"
+                     "assert f\n")
+    assert assert_lines(tree) == [2, 6]
+
+
+def test_package_has_no_assert_statements():
+    # every check in the package raises explicitly, so it also runs under -O
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += [f"{path.name}:{line}" for line in assert_lines(tree)]
     assert offenders == []
 
 
