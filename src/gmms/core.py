@@ -12,6 +12,7 @@ import re
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 Value = Fraction
@@ -34,6 +35,11 @@ class BudgetError(InputError):
 # Python's default int-string digit cap, which already bounds the digits.
 MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)")
+
+# Most significant digits a value literal is written with as a decimal; a
+# longer expansion is written as p/q instead.
+DECIMAL_DIGITS = 28
+_DECIMAL_LIMIT = 10 ** DECIMAL_DIGITS
 
 # Quotes outside input in an error message, so that one message stays short
 # whatever the size of the document: nested containers print as [...] and
@@ -75,7 +81,7 @@ def as_value(x) -> Fraction:
         raise ParseError(f"float value {x!r} rejected; use a decimal string")
     else:
         raise ParseError(f"bad value literal {_quote(x)}")
-    if v < 0:
+    if v.numerator < 0:
         raise ParseError(f"negative value {_quote(x)}")
     return v
 
@@ -101,7 +107,7 @@ class Instance:
                 raise InputError(
                     f"valuations[{i}] has length {len(row)}, expected {self.num_goods}")
             for v in row:
-                if not isinstance(v, Fraction) or v < 0:
+                if not isinstance(v, Fraction) or v.numerator < 0:
                     raise InputError(f"valuations[{i}] contains a bad value: {v!r}")
 
     @staticmethod
@@ -190,19 +196,43 @@ class Allocation:
             raise InputError("allocation is not complete")
 
 
+@lru_cache(maxsize=64)
+def _decimal_places(den: int):
+    """(places, 10**places // den) when 1/den ends after ``places`` decimal
+    places, else None. A drawn instance has only a few denominators."""
+    twos = (den & -den).bit_length() - 1
+    rest, fives = den >> twos, 0
+    while rest % 5 == 0:
+        rest //= 5
+        fives += 1
+    if rest != 1:
+        return None
+    places = max(twos, fives)
+    return places, 10 ** places // den
+
+
 def _value_literal(v: Fraction):
-    """Canonical JSON literal for an exact value: int, decimal string or p/q."""
-    if v.denominator == 1:
-        return v.numerator
-    d = v.denominator
-    while d % 2 == 0:
-        d //= 2
-    while d % 5 == 0:
-        d //= 5
-    if d == 1:  # exactly representable in decimal
-        from decimal import Decimal
-        return str(Decimal(v.numerator) / Decimal(v.denominator))
-    return f"{v.numerator}/{v.denominator}"
+    """Canonical JSON literal for an exact value: int, decimal string or p/q.
+
+    A value whose decimal expansion ends within DECIMAL_DIGITS significant
+    digits is printed as ``str(Decimal)`` prints it ("0.125", "1E-7"); any
+    other value is printed as p/q, so every literal reads back exactly.
+    """
+    num, den = v.numerator, v.denominator
+    if den == 1:
+        return num
+    decimal = _decimal_places(den)
+    coefficient = None if decimal is None else num * decimal[1]
+    if coefficient is None or coefficient >= _DECIMAL_LIMIT:
+        return f"{num}/{den}"
+    digits = str(coefficient)
+    point = len(digits) - decimal[0]  # digits before the point; <= 0 pads zeros
+    if point <= -6:  # Decimal's E-notation: adjusted exponent below -6
+        mantissa = f"{digits[0]}.{digits[1:]}" if len(digits) > 1 else digits
+        return f"{mantissa}E{point - 1}"
+    if point <= 0:
+        return "0." + "0" * -point + digits
+    return f"{digits[:point]}.{digits[point:]}"
 
 
 def _is_json_int(x) -> bool:

@@ -55,12 +55,14 @@ def generate(spec: GenSpec) -> Instance:
     else:
         raw = np.clip(rng.normal(0.5, 0.1, shape), 0.0, None)
     scale = 10 ** spec.digits
+    # rint rounds half to even, as round() does, on the same float64
+    # products; int() keeps the rounded floats exact at any magnitude
     rows = []
-    for i in range(spec.num_agents):
-        row = [Fraction(int(round(x * scale)), scale) for x in raw[i]]
-        if spec.sop:
-            row.sort(reverse=True)
-        rows.append(tuple(row))
+    for quantized in np.rint(raw * scale).tolist():
+        units = [int(x) for x in quantized]
+        if spec.sop:  # every value shares the denominator, so ints sort alike
+            units.sort(reverse=True)
+        rows.append(tuple([Fraction(u, scale) for u in units]))
     return Instance(spec.num_agents, spec.num_goods, tuple(rows))
 
 

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -457,3 +461,16 @@ def test_undecodable_document_exits_usage(tmp_path, capsys):
     path.write_bytes(b"\xff\xfe{}")
     assert main(["mms", str(path), "--agent", "0"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["gen", "--agents", "3", "--goods", "4", "--seed", "5"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "gmms", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected

@@ -1,5 +1,6 @@
 import json
 import random
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from gmms import (Allocation, InputError, Instance, ParseError, as_value,
                   bundle_value, parse_allocation, parse_instance,
                   serialize_allocation, serialize_instance)
-from gmms.generator import efl_tight, mms_not_ef1
+from gmms.core import _value_literal
+from gmms.generator import efl_tight, mms_not_ef1, mms_not_gmms
 
 
 def test_bundle_value_unit_goods():
@@ -159,3 +161,94 @@ def test_parse_rejects_integer_past_digit_cap():
         parse_instance('{"agents": 1, "goods": 1, "valuations": [[%s]]}' % digits)
     with pytest.raises(ParseError):
         parse_allocation('{"bundles": [[%s]]}' % digits)
+
+
+def _decimal_division_literal(v: Fraction):
+    """The value literal as it was printed through a Decimal division in the
+    default 28-digit context; kept as the oracle for every value it printed
+    exactly."""
+    if v.denominator == 1:
+        return v.numerator
+    d = v.denominator
+    while d % 2 == 0:
+        d //= 2
+    while d % 5 == 0:
+        d //= 5
+    if d == 1:
+        with localcontext(Context()):
+            return str(Decimal(v.numerator) / Decimal(v.denominator))
+    return f"{v.numerator}/{v.denominator}"
+
+
+@pytest.mark.parametrize("value,literal", [
+    (Fraction(1, 8), "0.125"),
+    (Fraction(1, 10 ** 6), "0.000001"),
+    (Fraction(1, 10 ** 7), "1E-7"),
+    (Fraction(31144123, 10 ** 30), "3.1144123E-23"),
+    (Fraction(625095, 10 ** 6), "0.625095"),
+    (Fraction(25, 2), "12.5"),
+    (Fraction(7), 7),
+    (Fraction(0), 0),
+    (Fraction(1, 3), "1/3"),
+    (Fraction(10 ** 28 - 1, 10 ** 28), "0.9999999999999999999999999999"),
+    (Fraction(10 ** 28 + 1, 10 ** 28), f"{10 ** 28 + 1}/{10 ** 28}"),
+])
+def test_value_literal_golden(value, literal):
+    assert _value_literal(value) == literal
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(48875563, 2 ** 38),
+    Fraction(1, 2) - Fraction(1, 2 ** 38),
+    Fraction(3, 2 ** 200),
+    Fraction(10 ** 40 + 1, 5 ** 3),
+])
+def test_value_literal_exact_past_28_digits(value):
+    literal = _value_literal(value)
+    assert literal == f"{value.numerator}/{value.denominator}"
+    assert as_value(literal) == value
+    inst = Instance(1, 1, ((value,),))
+    assert parse_instance(serialize_instance(inst)) == inst
+
+
+def test_fixture_with_long_decimals_round_trips():
+    inst, _ = mms_not_gmms(4, Fraction(1), Fraction(1, 274877906944))
+    text = serialize_instance(inst)
+    assert "0.4999999999963620211929082870" not in text
+    assert parse_instance(text) == inst
+
+
+def test_value_literal_matches_decimal_division():
+    # every value the Decimal division printed exactly prints the same; the
+    # rest (over 28 significant digits) now print as p/q
+    rng = random.Random(13)
+    exact = 0
+    for _ in range(60_000):
+        twos, fives = rng.randrange(40), rng.randrange(40)
+        den = rng.choice([2 ** twos, 5 ** fives, 2 ** twos * 5 ** fives,
+                          rng.randrange(1, 10 ** rng.randrange(1, 10))])
+        value = Fraction(rng.randrange(10 ** rng.randrange(1, 36)), den)
+        literal, reference = _value_literal(value), _decimal_division_literal(value)
+        if as_value(reference) == value:
+            exact += 1
+            assert literal == reference, value
+        else:
+            assert literal == f"{value.numerator}/{value.denominator}", value
+        assert as_value(literal) == value
+    assert exact >= 30_000
+
+
+@pytest.mark.parametrize("literal", ["-0.5", "-1/2", "-3", "-1e-7"])
+def test_as_value_rejects_negative(literal):
+    with pytest.raises(ParseError, match="negative"):
+        as_value(literal)
+
+
+def test_negative_values_rejected_in_documents_and_instances():
+    with pytest.raises(ParseError, match="negative"):
+        parse_instance('{"agents": 1, "goods": 2, "valuations": [[1, "-0.000001"]]}')
+    with pytest.raises(InputError, match="bad value"):
+        Instance(1, 1, ((Fraction(-1, 3),),))
+    with pytest.raises(ParseError, match="negative"):
+        as_value(Fraction(-1, 3))
+    assert as_value("-0") == 0 and as_value("0.000") == 0
