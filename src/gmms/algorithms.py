@@ -5,6 +5,7 @@ lexicographically maximal allocation for identical valuations.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -155,18 +156,19 @@ def efl_allocate(instance: Instance, policy: Optional[TieBreakPolicy] = None,
     remaining = set(range(m))
     for step in range(m):
         graph = EnvyGraph.from_allocation(instance, bundles)
+        sources = graph.sources()
         rotations = 0
-        while not graph.sources():
+        while not sources:
             cycle = graph.find_cycle()
             if cycle is None:
                 raise AssertionError("sourceless envy graph must contain a cycle")
             _rotate_cycle(bundles, cycle)
             _rotate_cycle(last_good, cycle)
             graph = EnvyGraph.from_allocation(instance, bundles)
+            sources = graph.sources()
             rotations += 1
             if rotations > n * n:
                 raise AssertionError("cycle resolution failed to terminate")
-        sources = graph.sources()
         agent = min(sources)
         if policy is not None:
             scripted = policy.pick("sources", step)
@@ -240,9 +242,10 @@ def exact_gmms_search(instance: Instance, budget: Optional[int] = None) -> Searc
     with her need, so the prune is decided once per depth: when good t is
     first reached, the agents already short of the need after it are
     found, and good t goes only to the one short agent, or to anyone when
-    none is short. A leaf builds its bundles and value rows from the stack
-    and prefilters by the (provably necessary) EFX condition, reading rows
-    only up to the first violation, before the share computations run.
+    none is short. A leaf builds its bundles from the stack and prefilters
+    by the (provably necessary) EFX condition on the own values the stack
+    keeps, summing another bundle only when it is reached and stopping at
+    the first violation, before the share computations run.
     ``examined`` counts the nodes visited: the root, then every placement
     tried, dropped ones included, exactly as if each were tried in turn.
     ``budget`` (>= 0; a negative one raises ``InputError``) caps it.
@@ -267,7 +270,7 @@ def exact_gmms_search(instance: Instance, budget: Optional[int] = None) -> Searc
         bundles = [[] for _ in range(n)]  # goods ascending, from the stack
         for g, a in enumerate(holder):
             bundles[a].append(g)
-        if _efx_violation(rows, bundles, _value_matrix(rows, bundles)) is not None:
+        if _efx_violation(rows, bundles, own) is not None:
             return None
         if all(next(_beating_groups(ints, order, bundles, i, own[i],
                                     goal=own[i] + 1), None) is None
@@ -287,11 +290,13 @@ def exact_gmms_search(instance: Instance, budget: Optional[int] = None) -> Searc
             # fail once it is placed (the placer's value rises as much as
             # her need), so placing it passes for the one short agent, for
             # anyone when none is short, and for no one when more are
-            short = [i for i, (x, y) in enumerate(zip(own, need[t + 1])) if x < y]
-            if not short:
+            short = list(map(operator.lt, own, need[t + 1]))  # per agent
+            count = short.count(True)
+            if not count:
                 a, stop[t] = 0, n
-            elif len(short) == 1:
-                a, stop[t] = short[0], short[0] + 1
+            elif count == 1:
+                a = short.index(True)
+                stop[t] = a + 1
             else:
                 a = stop[t] = n
             tries = a  # the dropped placements below a

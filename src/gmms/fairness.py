@@ -11,8 +11,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .core import Allocation, InputError, Instance, bundle_value
-from .maximin import _agent_ints, _beating_groups, gmms_threshold
+from .core import Allocation, InputError, Instance
+from .maximin import _agent_ints, _beating_groups, _threshold_units
 
 
 class Notion(str, enum.Enum):
@@ -81,16 +81,24 @@ def _envied(sums):
                 yield i, j, row[i], value
 
 
-def _efx_violation(rows, bundles, sums):
-    """First (i, j, g, own, rest), goods in bundle order, where agent i
-    values bundle j without its positively valued good g (rest) above her
-    own bundle; None if the allocation is EFX. rows[i] and row i of `sums`
-    only need to share agent i's units."""
-    for i, j, own, value in _envied(sums):
-        row = rows[i]
-        for g in bundles[j]:
-            if row[g] > 0 and own < value - row[g]:
-                return i, j, g, own, value - row[g]
+def _efx_violation(rows, bundles, own):
+    """First (i, j, g, own[i], rest), agent-major, goods in bundle order,
+    where agent i values bundle j without its positively valued good g
+    (rest) above own[i], her value of her own bundle; None if the
+    allocation is EFX. own[i] only needs to share the units of rows[i].
+    Each bundle is summed only when it is reached, so a check that stops at
+    its first violation skips the rest."""
+    for i, row in enumerate(rows):
+        mine = own[i]
+        for j, bundle in enumerate(bundles):
+            if j == i:
+                continue
+            value = sum(map(row.__getitem__, bundle))
+            if mine < value:  # envied: a good worth less than the gap violates
+                gap = value - mine
+                for g in bundle:
+                    if 0 < row[g] < gap:
+                        return i, j, g, mine, value - row[g]
     return None
 
 
@@ -122,9 +130,10 @@ def is_ef1(instance: Instance, allocation: Allocation) -> FairnessReport:
 def is_efx(instance: Instance, allocation: Allocation) -> FairnessReport:
     """Removing any positively valued good from the envied bundle kills the envy."""
     allocation.validate(instance, require_complete=True)
-    found = _efx_violation(instance.valuations,
-                           [sorted(b) for b in allocation.bundles],
-                           _value_matrix(instance.valuations, allocation.bundles))
+    rows = instance.valuations
+    found = _efx_violation(rows, [sorted(b) for b in allocation.bundles],
+                           [sum(map(row.__getitem__, b))
+                            for row, b in zip(rows, allocation.bundles)])
     if found is None:
         return FairnessReport(Notion.EFX, True)
     i, j, g, own, rest = found
@@ -215,10 +224,13 @@ def gmms_factor(instance: Instance, allocation: Allocation) -> Optional[Fraction
     allocation.validate(instance, require_complete=True)
     factor: Optional[Fraction] = None
     for i in range(instance.num_agents):
-        threshold = gmms_threshold(instance, allocation, i).value
+        # the threshold and the own value share agent i's units, so their
+        # ratio is the ratio of the two integers
+        _, ints, order = _agent_ints(instance, i)
+        threshold = _threshold_units(ints, order, allocation.bundles, i)[1]
         if threshold == 0:
             continue
-        ratio = bundle_value(instance, i, allocation.bundles[i]) / threshold
+        ratio = Fraction(sum(ints[g] for g in allocation.bundles[i]), threshold)
         if factor is None or ratio < factor:
             factor = ratio
     return factor

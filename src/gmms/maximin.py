@@ -14,7 +14,8 @@ groups depth first so that whole runs of them are dropped at once.
 ``maximin_share`` uses the optimisation form, ``maximin_exceeds`` and the
 exact search's leaves the decision form (floor t, goal t+1), the fairness
 checkers the optimisation form from the agent's own value, and
-``gmms_threshold`` the walker's last yield from floor -1.
+``gmms_threshold`` and ``gmms_factor`` the walker's last yield from floor -1
+(``_threshold_units``).
 Fractions appear only in results. ``maximin_share_naive`` is the unpruned
 enumeration oracle used to cross-check it.
 """
@@ -335,6 +336,15 @@ def _beating_groups(ints, order, bundles, agent: int, floor=-1,
             yield group, value, witness
 
 
+def _threshold_units(ints, order, bundles, agent: int):
+    """(group, value, witness) of the agent's groupwise threshold in her D
+    units: the last group that _beating_groups yields from floor -1."""
+    # the agent alone beats floor -1, so the walker yields at least once
+    for found in _beating_groups(ints, order, bundles, agent):
+        pass
+    return found
+
+
 def gmms_threshold(instance: Instance, allocation: Allocation, agent: int) -> GmmsThreshold:
     """Max over groups J containing `agent` of mu_agent^|J|(union of J's bundles).
 
@@ -346,8 +356,5 @@ def gmms_threshold(instance: Instance, allocation: Allocation, agent: int) -> Gm
     """
     allocation.validate(instance, require_complete=True)
     denom, ints, order = _agent_ints(instance, agent)
-    # the agent alone beats floor -1, so the walker yields at least once
-    for group, value, witness in _beating_groups(ints, order,
-                                                 allocation.bundles, agent):
-        pass
+    group, value, witness = _threshold_units(ints, order, allocation.bundles, agent)
     return GmmsThreshold(Fraction(value, denom), group, witness)

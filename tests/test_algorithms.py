@@ -282,8 +282,7 @@ def placement_loop_search(instance, budget=None):
         bundles = [[] for _ in range(n)]
         for g, a in enumerate(holder):
             bundles[a].append(g)
-        sums = [[sum(row[g] for g in b) for b in bundles] for row in rows]
-        if _efx_violation(rows, bundles, sums) is not None:
+        if _efx_violation(rows, bundles, own) is not None:
             return None
         if all(next(_beating_groups(ints, order, bundles, i, own[i],
                                     goal=own[i] + 1), None) is None

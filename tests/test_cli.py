@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 from gmms import (Allocation, Instance, gmms_factor, parse_allocation,
                   parse_instance, serialize_allocation, serialize_instance)
-from gmms.cli import main
+from gmms.cli import experiment_row, main
 from gmms.generator import mms_not_gmms
 
 
@@ -159,6 +160,31 @@ def test_experiment_header_only(capsys):
     assert lines[0].startswith("# schema v1 rng=numpy-pcg64")
     assert lines[1].split(",")[:3] == ["n", "m", "dist"]
     assert len(lines) == 2
+
+
+# sha256 of the non-timing fields of experiment_row for seeds 0-2 in each
+# cell of the benchmark's grid (n 3-5 x m 5-7), recorded before the exact
+# search read its EFX test from the stack: the search's answer, the
+# allocator's factor and every other field stay the same.
+EXPERIMENT_ROW_DIGESTS = [
+    ((3, 5), "0b9a7dda16549ffd222b92853e82de05c5f73b45f04694980bdcb249e3ddcdca"),
+    ((3, 6), "98004ddb2d536efb77ef9518fb0c4c764bbd8a07b6ab6d4743f661c7c3c3fb51"),
+    ((3, 7), "cb5a98c9313ac572ee3b1a916c69015f0cbb0e07df9a861f0c75964a22e7996d"),
+    ((4, 5), "30c5e783979afdc7e018e6e731218aecf7f7c585deb85ef1e5a4e2d8004f578a"),
+    ((4, 6), "7fdcfd2c1f4d1e410d9f0e3d7e2de93c4e50895ecf92c7765978a434d596d035"),
+    ((4, 7), "fc46ce5485bfab0a19956958a17a1dbd047a02826a2010684df58a4ffb716c10"),
+    ((5, 5), "7d6e3121329e354f5a75557d93312d529ddbad8723809bf0179ad719942b2fbf"),
+    ((5, 6), "d3382e3f2cbcacb416335e690a132db5b430e141f3731352d790755ff1d455ff"),
+    ((5, 7), "56c2447ba2bbaf9d4cc6c6618683886bc8d70a40aecdcdf21bcafb7888f90a4a"),
+]
+
+
+@pytest.mark.parametrize("shape,digest", EXPERIMENT_ROW_DIGESTS,
+                         ids=[f"n{n}m{m}" for (n, m), _ in EXPERIMENT_ROW_DIGESTS])
+def test_experiment_row_fields_pinned(shape, digest):
+    rows = [{k: v for k, v in experiment_row(*shape, "uniform", False, seed, None).items()
+             if not k.startswith("t_")} for seed in range(3)]
+    assert hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest() == digest
 
 
 def test_experiment_rows_and_summary(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ import pytest
 from gmms import (Allocation, InputError, Instance, bundle_value, gmms_factor,
                   is_ef1, is_efl, is_efx, is_envy_free, is_gmms,
                   is_kwise_fair, is_mms, is_pmms, maximin_share,
-                  maximin_share_naive)
+                  gmms_threshold, maximin_share_naive)
+from gmms.fairness import FairnessReport, Notion, Violation
 from gmms.generator import (efl_tight, kwise_boundary, mms_not_ef1,
                             mms_not_gmms, single_good_two_agents)
 
@@ -195,6 +197,43 @@ def test_gmms_factor_skips_zero_thresholds():
     assert gmms_factor(all_zero, Allocation.from_lists([[0], []])) is None
 
 
+def per_agent_factor(inst, alloc):
+    """gmms_factor as it was before it took each threshold in the agent's
+    integer units: one public gmms_threshold call per agent, divided into
+    the agent's exact bundle value."""
+    factor = None
+    for i in range(inst.num_agents):
+        threshold = gmms_threshold(inst, alloc, i).value
+        if threshold == 0:
+            continue
+        ratio = bundle_value(inst, i, alloc.bundles[i]) / threshold
+        if factor is None or ratio < factor:
+            factor = ratio
+    return factor
+
+
+def test_gmms_factor_matches_per_agent_threshold_loop():
+    rng = random.Random(4242)
+    outcomes = set()
+    for t in range(300):
+        n, m = rng.randrange(1, 6), rng.randrange(0, 9)
+        rows = [[0 if rng.random() < 0.3 else
+                 Fraction(rng.randrange(1, 13), rng.choice([1, 2, 3, 7, 10]))
+                 for _ in range(m)] for _ in range(n)]
+        for i in range(n):
+            if t % 3 == 0 and rng.random() < 0.5:  # zero rows: zero thresholds
+                rows[i] = [0] * m
+        inst = Instance.from_rows(rows)
+        vec = [rng.randrange(n) for _ in range(m)]
+        alloc = Allocation.from_lists(
+            [[g for g, a in enumerate(vec) if a == i] for i in range(n)])
+        factor, expected = gmms_factor(inst, alloc), per_agent_factor(inst, alloc)
+        assert factor == expected and type(factor) is type(expected)
+        outcomes.add("none" if factor is None else "zero" if factor == 0
+                     else "below" if factor < 1 else "at least one")
+    assert outcomes == {"none", "zero", "below", "at least one"}
+
+
 def test_gmms_factor_at_least_one_when_gmms():
     inst = Instance.from_rows([[1, 0], [0, 1]])
     alloc = Allocation.from_lists([[0], [1]])
@@ -356,3 +395,43 @@ def test_envy_checkers_match_reference_loops(seed):
                  < bundle_value(inst, i, alloc.bundles[j])}
         assert EnvyGraph.from_allocation(inst, alloc.bundles).edges == edges
     assert is_envy_free in violated
+
+
+def matrix_efx_doc(inst, alloc):
+    """is_efx's report as the matrix-based kernel gave it: the full matrix
+    of every agent's value of every bundle, then the envied pairs
+    agent-major, then the bundle's goods ascending."""
+    rows = inst.valuations
+    sums = [[sum(row[g] for g in b) for b in alloc.bundles] for row in rows]
+    for i, row in enumerate(sums):
+        for j, value in enumerate(row):
+            if not row[i] < value:
+                continue
+            for g in sorted(alloc.bundles[j]):
+                if rows[i][g] > 0 and row[i] < value - rows[i][g]:
+                    return FairnessReport(Notion.EFX, False, Violation(
+                        i, (j,), good=g, lhs=row[i],
+                        rhs=value - rows[i][g])).to_doc()
+    return FairnessReport(Notion.EFX, True).to_doc()
+
+
+def test_efx_report_matches_matrix_kernel():
+    rng = random.Random(3131)
+    violated = empty = 0
+    for t in range(600):
+        n, m = rng.randrange(1, 6), rng.randrange(0, 9)
+        if t % 2:  # small integers: ties between own values and goods
+            rows = [[rng.randrange(0, 4) for _ in range(m)] for _ in range(n)]
+        else:
+            rows = [[0 if rng.random() < 0.3 else
+                     Fraction(rng.randrange(1, 13), rng.choice([1, 2, 3, 5]))
+                     for _ in range(m)] for _ in range(n)]
+        inst = Instance.from_rows(rows)
+        vec = [rng.randrange(n) for _ in range(m)]
+        alloc = Allocation.from_lists(
+            [[g for g, a in enumerate(vec) if a == i] for i in range(n)])
+        doc = json.dumps(is_efx(inst, alloc).to_doc())
+        assert doc == json.dumps(matrix_efx_doc(inst, alloc))
+        violated += '"witness"' in doc
+        empty += not all(alloc.bundles)
+    assert violated > 50 and empty > 50

@@ -1,7 +1,7 @@
 """Guards that read source files: the benchmark tooling names package
 functions, the package keeps its searches free of recursion and its checks
 free of assert statements, it decodes JSON in one place, and it reaches the
-share kernel and the group loop each through one door."""
+share kernel, the group loop and the EFX test each through one door."""
 
 import ast
 import importlib
@@ -155,3 +155,42 @@ def test_share_kernel_and_group_loop_have_one_caller():
                  for fn, _ in references(ast.parse(path.read_text(encoding="utf-8")),
                                          name)]
         assert users == [("maximin.py", door)], name
+
+
+def callers(tree, name):
+    """Top-level functions whose body, nested defs included, calls `name`
+    as a bare name or an attribute."""
+    found = set()
+    for fn in tree.body:
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Name) and node.func.id == name
+                    or isinstance(node.func, ast.Attribute)
+                    and node.func.attr == name):
+                found.add(fn.name)
+    return found
+
+
+def test_callers_are_detected():
+    tree = ast.parse("from m import kernel\n"
+                     "def outer():\n"
+                     "    def inner():\n"
+                     "        return kernel()\n"
+                     "    return inner\n"
+                     "def other():\n"
+                     "    return m.kernel(), kernel\n"
+                     "def idle():\n"
+                     "    return kernel\n")
+    assert callers(tree, "kernel") == {"outer", "other"}
+
+
+def test_efx_kernel_has_two_callers():
+    # EFX is one check: is_efx runs it on exact values and the exact
+    # search's leaves on the integer rows from its stack
+    users = sorted((path.name, fn) for path in sorted(PACKAGE.glob("*.py"))
+                   for fn in callers(ast.parse(path.read_text(encoding="utf-8")),
+                                     "_efx_violation"))
+    assert users == [("algorithms.py", "exact_gmms_search"),
+                     ("fairness.py", "is_efx")]
