@@ -81,6 +81,22 @@ def _envied(sums):
                 yield i, j, row[i], value
 
 
+def _scaled_envied(instance: Instance, bundles):
+    """(i, j, own, value, denom, ints) for each pair that _envied yields, in
+    agent i's integer units: ints is her row times denom (see
+    maximin._agent_ints). Each row is scaled as it is read."""
+    scaled = []  # (denom, ints) of each agent read so far
+
+    def rows():
+        for i in range(instance.num_agents):
+            denom, ints, _ = _agent_ints(instance, i)
+            scaled.append((denom, ints))
+            yield ints
+
+    for i, j, own, value in _envied(_value_matrix(rows(), bundles)):
+        yield (i, j, own, value) + scaled[i]
+
+
 def _efx_violation(rows, bundles, own):
     """First (i, j, g, own[i], rest), agent-major, goods in bundle order,
     where agent i values bundle j without its positively valued good g
@@ -105,9 +121,9 @@ def _efx_violation(rows, bundles, own):
 def is_envy_free(instance: Instance, allocation: Allocation) -> FairnessReport:
     """v_i(A_i) >= v_i(A_j) for all pairs."""
     allocation.validate(instance, require_complete=True)
-    for i, j, own, value in _envied(_value_matrix(instance.valuations, allocation.bundles)):
-        return FairnessReport(Notion.EF, False,
-                              Violation(i, (j,), lhs=own, rhs=value))
+    for i, j, own, value, denom, _ in _scaled_envied(instance, allocation.bundles):
+        return FairnessReport(Notion.EF, False, Violation(
+            i, (j,), lhs=Fraction(own, denom), rhs=Fraction(value, denom)))
     return FairnessReport(Notion.EF, True)
 
 
@@ -117,13 +133,12 @@ def is_ef1(instance: Instance, allocation: Allocation) -> FairnessReport:
     Empty bundles are never envied: v_i(A_i) >= 0 = v_i(empty).
     """
     allocation.validate(instance, require_complete=True)
-    for i, j, own, value in _envied(_value_matrix(instance.valuations, allocation.bundles)):
-        row = instance.valuations[i]
+    for i, j, own, value, denom, row in _scaled_envied(instance, allocation.bundles):
         top = max(allocation.bundles[j], key=lambda g: (row[g], -g))
         if own < value - row[top]:
-            return FairnessReport(Notion.EF1, False,
-                                  Violation(i, (j,), good=top,
-                                            lhs=own, rhs=value - row[top]))
+            return FairnessReport(Notion.EF1, False, Violation(
+                i, (j,), good=top, lhs=Fraction(own, denom),
+                rhs=Fraction(value - row[top], denom)))
     return FairnessReport(Notion.EF1, True)
 
 
@@ -146,15 +161,16 @@ def is_efl(instance: Instance, allocation: Allocation) -> FairnessReport:
     some good both kills the envy when removed and is worth no more than the
     envious agent's own bundle."""
     allocation.validate(instance, require_complete=True)
-    for i, j, own, value in _envied(_value_matrix(instance.valuations, allocation.bundles)):
-        row, bundle = instance.valuations[i], allocation.bundles[j]
+    for i, j, own, value, denom, row in _scaled_envied(instance, allocation.bundles):
+        bundle = allocation.bundles[j]
         if sum(row[g] > 0 for g in bundle) <= 1:
             continue
         if not any(own >= value - row[g] and own >= row[g] for g in bundle):
             top = max(bundle, key=lambda g: (row[g], -g))
             rhs = value - row[top] if own < value - row[top] else row[top]
-            return FairnessReport(Notion.EFL, False,
-                                  Violation(i, (j,), good=top, lhs=own, rhs=rhs))
+            return FairnessReport(Notion.EFL, False, Violation(
+                i, (j,), good=top, lhs=Fraction(own, denom),
+                rhs=Fraction(rhs, denom)))
     return FairnessReport(Notion.EFL, True)
 
 

@@ -5,7 +5,9 @@ row once by the lcm D of its denominators, so all of that agent's shares,
 over any pool of goods, are integers in units of 1/D. ``_best_partition`` is
 the single branch-and-bound, a loop over an explicit stack with a
 water-filling bound: it looks for a partition whose min beats a floor and
-stops at a goal; ``_pool_share``, its one caller, adds the witness.
+stops at a goal; a pool with one part, or at most one positive good more
+than parts, it decides in closed form with no search. ``_pool_share``, its
+one caller, adds the witness.
 ``_beating_groups``, the one group walker, yields each group whose pooled
 share beats the floor so far; its pool builder ``_group_pools`` never pools
 a group whose summed bundle value is at most the group size times the
@@ -67,8 +69,9 @@ def _agent_ints(instance: Instance, agent: int):
     row = instance.valuations[agent]
     denom = math.lcm(*(v.denominator for v in row))
     ints = [v.numerator * (denom // v.denominator) for v in row]
-    order = sorted((g for g in range(len(ints)) if ints[g] > 0),
-                   key=lambda g: (-ints[g], g))
+    # a stable sort, so equal values keep ascending index
+    order = sorted([g for g in range(len(ints)) if ints[g] > 0],
+                   key=ints.__getitem__, reverse=True)
     return denom, ints, order
 
 
@@ -92,7 +95,7 @@ def _lpt_seed(vals, k):
     sums = [0] * k
     assign = [0] * len(vals)
     for t, v in enumerate(vals):
-        j = min(range(k), key=lambda b: sums[b])
+        j = sums.index(min(sums))  # the first least bin
         sums[j] += v
         assign[t] = j
     return min(sums), assign
@@ -106,7 +109,12 @@ def _best_partition(vals, k, floor=-1, goal=None):
     multiple of gcd(vals) <= total/k, which bounds the optimum). Returns
     (floor, None) when no partition beats `floor`. The optimisation form is
     the default; the decision form "is the optimum > t?" is floor=t,
-    goal=t+1. One loop over an explicit stack, so no recursion limit bounds
+    goal=t+1. With k = 1, p = k or p = k + 1 the optimum is known in closed
+    form (the total; the smallest value; the (k-1)-th largest value or the
+    two smallest paired, whichever is less) and the LPT seed attains it, so
+    those pools return the seed, or (floor, None), with no search: the pair
+    the search would return, as it never strictly improves an optimal seed.
+    Otherwise one loop over an explicit stack, so no recursion limit bounds
     p; skipping each bin whose sum an earlier bin shares kills bundle
     symmetry, and subtrees that cannot beat the incumbent (by
     water-filling) are pruned. All pruning is sound for strict improvement,
@@ -116,9 +124,17 @@ def _best_partition(vals, k, floor=-1, goal=None):
     p = len(vals)
     if p < k:
         return (0, list(range(p))) if floor < 0 else (floor, None)
-    suffix = [0] * (p + 1)
-    for i in range(p - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + vals[i]
+    if k == 1 or p <= k + 1:
+        # one part holds the total; with p = k each value stands alone; with
+        # p = k + 1 the k - 1 largest stand alone and the two smallest pair
+        if k == 1:
+            best = sum(vals)
+        elif p == k:
+            best = vals[-1]
+        else:
+            best = min(vals[k - 2], vals[k - 1] + vals[k])
+        return (floor, None) if best <= floor else _lpt_seed(vals, k)
+    suffix = list(itertools.accumulate(reversed(vals), initial=0))[::-1]
     step = math.gcd(*vals)
     cap = suffix[0] // (k * step) * step
     if cap <= floor:
@@ -293,16 +309,16 @@ def _group_pools(ints, bundles, agent: int, floor, size: Optional[int] = None):
     member keeps the pooled goods and lowers the part count, which can only
     raise the share, and the reduced group comes earlier in the order.
     """
-    w = [sum(ints[g] for g in b) for b in bundles]  # bundle values, D units
+    w = [sum(map(ints.__getitem__, b)) for b in bundles]  # bundle values, D units
     others = [j for j in range(len(bundles))
               if j != agent and (size is not None or bundles[j])]
     top = [0] * (len(others) + 1)  # top[t]: the largest w among others[t:]
     for t in range(len(others) - 1, -1, -1):
         top[t] = max(top[t + 1], w[others[t]])
     for k in range(1, len(others) + 2) if size is None else (size,):
-        chosen, total, t = [], w[agent], 0  # positions in `others`, ascending
+        # positions in `others`, ascending, and the open slots left
+        chosen, total, t, slots = [], w[agent], 0, k - 1
         while True:
-            slots = k - 1 - len(chosen)
             if not slots:
                 if total > k * floor[0]:
                     group = tuple(sorted([agent] + [others[c] for c in chosen]))
@@ -311,12 +327,14 @@ def _group_pools(ints, bundles, agent: int, floor, size: Optional[int] = None):
                 chosen.append(t)
                 total += w[others[t]]
                 t += 1
+                slots -= 1
                 continue
             if not chosen:
                 break
             t = chosen.pop()  # take the last co-member back, try the next
             total -= w[others[t]]
             t += 1
+            slots += 1
 
 
 def _beating_groups(ints, order, bundles, agent: int, floor=-1,

@@ -435,3 +435,66 @@ def test_efx_report_matches_matrix_kernel():
         violated += '"witness"' in doc
         empty += not all(alloc.bundles)
     assert violated > 50 and empty > 50
+
+
+def fraction_envy_docs(inst, alloc):
+    """The EF, EF1 and EFL reports as the checkers gave them on a matrix of
+    Fraction sums: every agent's value of every bundle, then the envied
+    pairs agent-major."""
+    rows, bundles = inst.valuations, alloc.bundles
+    sums = [[sum(row[g] for g in b) for b in bundles] for row in rows]
+    envied = [(i, j, row[i], value) for i, row in enumerate(sums)
+              for j, value in enumerate(row) if row[i] < value]
+    ef = FairnessReport(Notion.EF, True)
+    for i, j, own, value in envied[:1]:
+        ef = FairnessReport(Notion.EF, False,
+                            Violation(i, (j,), lhs=own, rhs=value))
+    ef1 = FairnessReport(Notion.EF1, True)
+    for i, j, own, value in envied:
+        row = rows[i]
+        top = max(bundles[j], key=lambda g: (row[g], -g))
+        if own < value - row[top]:
+            ef1 = FairnessReport(Notion.EF1, False, Violation(
+                i, (j,), good=top, lhs=own, rhs=value - row[top]))
+            break
+    efl = FairnessReport(Notion.EFL, True)
+    for i, j, own, value in envied:
+        row, bundle = rows[i], bundles[j]
+        if sum(row[g] > 0 for g in bundle) <= 1:
+            continue
+        if not any(own >= value - row[g] and own >= row[g] for g in bundle):
+            top = max(bundle, key=lambda g: (row[g], -g))
+            rhs = value - row[top] if own < value - row[top] else row[top]
+            efl = FairnessReport(Notion.EFL, False, Violation(
+                i, (j,), good=top, lhs=own, rhs=rhs))
+            break
+    return [json.dumps(r.to_doc()) for r in (ef, ef1, efl)]
+
+
+def test_envy_reports_match_fraction_matrix():
+    # the checkers sum each agent's integer row and build Fractions only
+    # for the reported violation; every report must print as before
+    rng = random.Random(4242)
+    violated = [0, 0, 0]
+    empty = zero_rows = 0
+    for t in range(900):
+        n, m = rng.randrange(1, 6), rng.randrange(0, 10)
+        if t % 3 == 0:  # small integers: ties between own values and goods
+            rows = [[rng.randrange(0, 4) for _ in range(m)] for _ in range(n)]
+        else:  # mixed denominators, zero goods, and some all-zero rows
+            rows = [[0] * m if rng.random() < 0.15 else
+                    [0 if rng.random() < 0.3 else
+                     Fraction(rng.randrange(1, 13), rng.choice([1, 2, 3, 5, 7, 12]))
+                     for _ in range(m)] for _ in range(n)]
+        inst = Instance.from_rows(rows)
+        vec = [rng.randrange(n) for _ in range(m)]
+        alloc = Allocation.from_lists(
+            [[g for g, a in enumerate(vec) if a == i] for i in range(n)])
+        docs = [json.dumps(checker(inst, alloc).to_doc())
+                for checker in (is_envy_free, is_ef1, is_efl)]
+        assert docs == fraction_envy_docs(inst, alloc)
+        for c, doc in enumerate(docs):
+            violated[c] += '"witness"' in doc
+        empty += not all(alloc.bundles)
+        zero_rows += any(not any(row) for row in rows)
+    assert min(violated) > 50 and empty > 50 and zero_rows > 50

@@ -216,6 +216,20 @@ def test_oracles_reject_agent_out_of_range(agent):
         gmms_threshold(inst, alloc, agent)
 
 
+def test_agent_order_breaks_ties_by_index():
+    # witnesses map the kernel's values back to goods through this order
+    inst = Instance.from_rows([[2, 0, 3, 2, 3, 1, 0, Fraction(3, 2)]])
+    denom, ints, order = _agent_ints(inst, 0)
+    assert (denom, ints) == (2, [4, 0, 6, 4, 6, 2, 0, 3])
+    assert order == [2, 4, 0, 3, 7, 5]
+    rng = random.Random(77)
+    for _ in range(200):
+        inst = random_instance(rng, 1, rng.randrange(0, 12), max_num=3)
+        _, ints, order = _agent_ints(inst, 0)
+        assert order == sorted((g for g in range(len(ints)) if ints[g] > 0),
+                               key=lambda g: (-ints[g], g))
+
+
 def test_exceeds_rejects_float_threshold():
     inst = Instance.from_rows([[1, 2, 3]])
     for bad in (0.5, "3", True):
@@ -388,12 +402,23 @@ def test_restricted_growth_matches_recursive_oracle(k):
 
 
 
+def lpt_seed(vals, k):
+    """The kernel's LPT seed as a loop of its own: each value goes to the
+    first bin of least sum."""
+    sums, assign = [0] * k, []
+    for v in vals:
+        j = min(range(k), key=sums.__getitem__)
+        sums[j] += v
+        assign.append(j)
+    return min(sums), assign
+
+
 def recursive_best_partition(vals, k, floor=-1, goal=None):
     """Independent oracle: the share kernel as a recursive search, with a
-    restricted-growth bound and a per-node set of tried sums. The explicit
-    stack in maximin._best_partition must agree with it on value and
-    witness."""
-    from gmms.maximin import _lpt_seed, _waterfill_ok
+    restricted-growth bound and a per-node set of tried sums, and no closed
+    form: every pool with at least k values is searched. The explicit stack
+    in maximin._best_partition must agree with it on value and witness."""
+    from gmms.maximin import _waterfill_ok
     p = len(vals)
     if p < k:
         return (0, list(range(p))) if floor < 0 else (floor, None)
@@ -407,7 +432,7 @@ def recursive_best_partition(vals, k, floor=-1, goal=None):
     if goal is None:
         goal = cap
     best, best_assign = floor, None
-    seed, seed_assign = _lpt_seed(vals, k)
+    seed, seed_assign = lpt_seed(vals, k)
     if seed > best:
         best, best_assign = seed, seed_assign
         if best >= goal:
@@ -445,7 +470,9 @@ def recursive_best_partition(vals, k, floor=-1, goal=None):
 def test_best_partition_matches_recursive_oracle(monkeypatch):
     from gmms import maximin
     # every placement tests the bound once, so this counts placements: a
-    # weaker symmetry rule finds the same leaves, but only after more tries
+    # weaker symmetry rule finds the same leaves, but only after more tries.
+    # Pools with one part or at most one value more than parts are decided
+    # in closed form, with no placement at all
     placements = []
     real_waterfill = maximin._waterfill_ok
 
@@ -481,9 +508,14 @@ def test_best_partition_matches_recursive_oracle(monkeypatch):
         forms.append((vals, k, floor, goal))  # stop at a goal
         results = []
         for args in forms:
-            result = run(maximin._best_partition, args)
-            assert result == run(recursive_best_partition, args), args
-            results.append(result[0])
+            found, placed = run(maximin._best_partition, args)
+            expected, searched = run(recursive_best_partition, args)
+            assert found == expected, args
+            if k == 1 or p <= k + 1:
+                assert placed == 0, args
+            else:
+                assert placed == searched, args
+            results.append(found)
         # from a floor below the optimum, the optimisation form finds the
         # same partition as from floor -1; the group walker relies on it
         if floor < results[0][0]:
@@ -491,6 +523,26 @@ def test_best_partition_matches_recursive_oracle(monkeypatch):
             assert results[1] == results[0], (vals, k, floor)
     assert sum(placements) > 100_000
     assert below > 500
+
+
+def test_closed_form_pools_match_full_search():
+    # every pool the kernel decides without a search: one part, or k or
+    # k + 1 values; small values with ties, and multiples of a common gcd
+    from gmms.maximin import _best_partition
+    pools = 0
+    for values in (range(1, 5), (2, 4, 6, 8), (3, 6, 9)):
+        for k in range(1, 5):
+            for p in range(1, 5) if k == 1 else (k, k + 1):
+                for combo in itertools.combinations_with_replacement(values, p):
+                    vals = sorted(combo, reverse=True)
+                    cap = sum(vals) // k
+                    pools += 1
+                    for floor in range(-1, cap + 2):
+                        for goal in (None, floor + 1, cap):
+                            args = (vals, k, floor, goal)
+                            assert (_best_partition(*args)
+                                    == recursive_best_partition(*args)), args
+    assert pools > 500
 
 
 def long_pool_instance():

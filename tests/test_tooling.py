@@ -1,7 +1,8 @@
 """Guards that read source files: the benchmark tooling names package
 functions, the package keeps its searches free of recursion and its checks
 free of assert statements, it decodes JSON in one place, and it reaches the
-share kernel, the group loop and the EFX test each through one door."""
+share kernel, the group loop, the LPT seed and the EFX test each through
+its own doors."""
 
 import ast
 import importlib
@@ -184,6 +185,17 @@ def test_callers_are_detected():
                      "def idle():\n"
                      "    return kernel\n")
     assert callers(tree, "kernel") == {"outer", "other"}
+
+
+def test_lpt_seed_has_two_callers():
+    # the share kernel decides its closed-form pools from the LPT seed, and
+    # the exact search takes each agent's need from it; a second small-pool
+    # path (in _pool_share or the group walker) would split the kernel
+    users = sorted((path.name, fn) for path in sorted(PACKAGE.glob("*.py"))
+                   for fn in callers(ast.parse(path.read_text(encoding="utf-8")),
+                                     "_lpt_seed"))
+    assert users == [("algorithms.py", "exact_gmms_search"),
+                     ("maximin.py", "_best_partition")]
 
 
 def test_efx_kernel_has_two_callers():
