@@ -11,9 +11,9 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .core import (Allocation, BudgetError, Bundle, InputError, Instance,
-                   _is_json_int, _quote)
+                   _check_int, _is_json_int, _quote)
 from .fairness import _efx_violation, _envied, _value_matrix
-from .maximin import _agent_ints, _beating_groups, _lpt_seed, _restricted_growth
+from .maximin import _beating_groups, _lpt_seed, _restricted_growth
 
 
 class PolicyError(ValueError):
@@ -221,11 +221,6 @@ class SearchResult:
         return doc
 
 
-def _check_budget(budget: Optional[int]) -> None:
-    if budget is not None and budget < 0:
-        raise InputError(f"budget must be >= 0, got {budget}")
-
-
 def exact_gmms_search(instance: Instance, budget: Optional[int] = None) -> SearchResult:
     """First allocation in lexicographic assignment order passing the
     groupwise check, or proof of exhaustion, or a budget marker.
@@ -251,10 +246,11 @@ def exact_gmms_search(instance: Instance, budget: Optional[int] = None) -> Searc
     ``budget`` (>= 0; a negative one raises ``InputError``) caps it.
     """
     n, m = instance.num_agents, instance.num_goods
-    _check_budget(budget)
+    if budget is not None:
+        _check_int("budget", budget, 0)
     if budget == 0:
         return SearchResult("budget", None, 0)
-    agents = [_agent_ints(instance, i) for i in range(n)]
+    agents = instance._units
     rows = [ints for _, ints, _ in agents]
     # need[t][i]: the least own value agent i may hold once goods < t are
     # placed, so that her goods >= t can still lift her to her LPT seed
@@ -346,7 +342,8 @@ def lexmax_allocation(instance: Instance, budget: Optional[int] = None) -> Alloc
     for i in range(1, n):
         if instance.valuations[i] != instance.valuations[0]:
             raise InputError("lexmax allocation requires identical valuation rows")
-    _check_budget(budget)
+    if budget is not None:
+        _check_int("budget", budget, 0)
     row = instance.valuations[0]
     best_key = best_assign = None
     for leaves, assign in enumerate(_restricted_growth(m, n)):

@@ -2,17 +2,21 @@
 
 All values are nonnegative rationals (``fractions.Fraction``); nothing in the
 library ever rounds. Instances and allocations are immutable and safe to share
-across workers.
+across workers: an instance's one private integer view of its rows
+(``Instance._units``) is built on first use, cached, and made of tuples, so
+no reader can change what another reads; it takes no part in ``==``,
+``hash`` or ``repr``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 Value = Fraction
@@ -117,14 +121,32 @@ class Instance:
         return Instance(len(vals), m, vals)
 
     def value(self, agent: int, good: int) -> Fraction:
-        if not 0 <= agent < self.num_agents:
-            raise InputError(f"agent index {agent} out of range")
-        if not 0 <= good < self.num_goods:
-            raise InputError(f"good index {good} out of range")
+        _check_int("agent", agent, 0, self.num_agents - 1)
+        _check_int("good", good, 0, self.num_goods - 1)
         return self.valuations[agent][good]
 
     def all_goods(self) -> Bundle:
         return frozenset(range(self.num_goods))
+
+    @cached_property
+    def _units(self) -> tuple:
+        """Every agent's row in integer units: one (D, ints, order) per agent.
+
+        D is the lcm of the row's denominators, ``ints[g] = v_g * D`` exactly,
+        and ``order`` lists the positively valued goods by descending value
+        (index tiebreak). Every share of the agent, over any pool, is an
+        integer multiple of 1/D, so shares of different pools compare as
+        integers. Built once per instance, on first use, all of tuples.
+        """
+        units = []
+        for row in self.valuations:
+            denom = math.lcm(*(v.denominator for v in row))
+            ints = tuple(v.numerator * (denom // v.denominator) for v in row)
+            # a stable sort, so equal values keep ascending index
+            order = sorted([g for g in range(len(ints)) if ints[g] > 0],
+                           key=ints.__getitem__, reverse=True)
+            units.append((denom, ints, tuple(order)))
+        return tuple(units)
 
 
 def check_bundle(instance: Instance, bundle: Iterable[int]) -> Bundle:
@@ -138,8 +160,7 @@ def check_bundle(instance: Instance, bundle: Iterable[int]) -> Bundle:
 
 def bundle_value(instance: Instance, agent: int, bundle: Iterable[int]) -> Fraction:
     """Exact value of a bundle for an agent (additive; empty bundle -> 0)."""
-    if not 0 <= agent < instance.num_agents:
-        raise InputError(f"agent index {agent} out of range")
+    _check_int("agent", agent, 0, instance.num_agents - 1)
     row = instance.valuations[agent]
     total = Fraction(0)
     for g in bundle:
@@ -238,6 +259,17 @@ def _value_literal(v: Fraction):
 def _is_json_int(x) -> bool:
     """A JSON integer; true/false decode to bool, which subclasses int."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_int(name: str, x, low: int, high=None) -> None:
+    """Refuse an integer argument (an index, a part or group count, a budget)
+    that is not an int from `low` up to `high` (None: no upper end); a bool
+    is refused too, though it subclasses int."""
+    if not _is_json_int(x):
+        raise InputError(f"{name} must be an int, got {_quote(x)}")
+    if x < low or high is not None and x > high:
+        span = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise InputError(f"{name} must be {span}, got {x}")
 
 
 def _json_doc(text, **kw):

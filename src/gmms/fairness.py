@@ -11,8 +11,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .core import Allocation, InputError, Instance
-from .maximin import _agent_ints, _beating_groups, _threshold_units
+from .core import Allocation, Instance, _check_int
+from .maximin import _beating_groups, _threshold_units
 
 
 class Notion(str, enum.Enum):
@@ -84,26 +84,18 @@ def _envied(sums):
 def _scaled_envied(instance: Instance, bundles):
     """(i, j, own, value, denom, ints) for each pair that _envied yields, in
     agent i's integer units: ints is her row times denom (see
-    maximin._agent_ints). Each row is scaled as it is read."""
-    scaled = []  # (denom, ints) of each agent read so far
-
-    def rows():
-        for i in range(instance.num_agents):
-            denom, ints, _ = _agent_ints(instance, i)
-            scaled.append((denom, ints))
-            yield ints
-
-    for i, j, own, value in _envied(_value_matrix(rows(), bundles)):
-        yield (i, j, own, value) + scaled[i]
+    core.Instance._units)."""
+    units = instance._units
+    for i, j, own, value in _envied(_value_matrix((u[1] for u in units), bundles)):
+        yield (i, j, own, value) + units[i][:2]
 
 
 def _efx_violation(rows, bundles, own):
     """First (i, j, g, own[i], rest), agent-major, goods in bundle order,
     where agent i values bundle j without its positively valued good g
     (rest) above own[i], her value of her own bundle; None if the
-    allocation is EFX. own[i] only needs to share the units of rows[i].
-    Each bundle is summed only when it is reached, so a check that stops at
-    its first violation skips the rest."""
+    allocation is EFX. Each bundle is summed only when it is reached, so a
+    check that stops at its first violation skips the rest."""
     for i, row in enumerate(rows):
         mine = own[i]
         for j, bundle in enumerate(bundles):
@@ -145,15 +137,17 @@ def is_ef1(instance: Instance, allocation: Allocation) -> FairnessReport:
 def is_efx(instance: Instance, allocation: Allocation) -> FairnessReport:
     """Removing any positively valued good from the envied bundle kills the envy."""
     allocation.validate(instance, require_complete=True)
-    rows = instance.valuations
+    units = instance._units
+    rows = [ints for _, ints, _ in units]
     found = _efx_violation(rows, [sorted(b) for b in allocation.bundles],
                            [sum(map(row.__getitem__, b))
                             for row, b in zip(rows, allocation.bundles)])
     if found is None:
         return FairnessReport(Notion.EFX, True)
     i, j, g, own, rest = found
-    return FairnessReport(Notion.EFX, False,
-                          Violation(i, (j,), good=g, lhs=own, rhs=rest))
+    denom = units[i][0]
+    return FairnessReport(Notion.EFX, False, Violation(
+        i, (j,), good=g, lhs=Fraction(own, denom), rhs=Fraction(rest, denom)))
 
 
 def is_efl(instance: Instance, allocation: Allocation) -> FairnessReport:
@@ -178,11 +172,10 @@ def _group_violation(instance: Instance, allocation: Allocation,
                      size: Optional[int] = None) -> Optional[Violation]:
     """First agent and group (of `size`, or of any size) whose pooled share
     exceeds the agent's own value, searched in her integer units (see
-    maximin._agent_ints) in optimisation form from the own value, so one
+    core.Instance._units) in optimisation form from the own value, so one
     search gives the share and the witness maximin_share would give. Only
     groups whose bundles she values above her own on average are pooled."""
-    for i in range(instance.num_agents):
-        denom, ints, order = _agent_ints(instance, i)
+    for i, (denom, ints, order) in enumerate(instance._units):
         own = sum(ints[g] for g in allocation.bundles[i])
         for group, value, witness in _beating_groups(
                 ints, order, allocation.bundles, i, own, size):
@@ -214,8 +207,7 @@ def is_pmms(instance: Instance, allocation: Allocation) -> FairnessReport:
 def is_kwise_fair(instance: Instance, allocation: Allocation, k: int) -> FairnessReport:
     """Every agent clears her k-part share over every size-k group's pool."""
     allocation.validate(instance, require_complete=True)
-    if not 1 <= k <= instance.num_agents:
-        raise InputError(f"k must be in [1, {instance.num_agents}], got {k}")
+    _check_int("k", k, 1, instance.num_agents)
     witness = _group_violation(instance, allocation, k)
     return FairnessReport(Notion.KWISE, witness is None, witness, k=k)
 
@@ -239,10 +231,9 @@ def gmms_factor(instance: Instance, allocation: Allocation) -> Optional[Fraction
     """
     allocation.validate(instance, require_complete=True)
     factor: Optional[Fraction] = None
-    for i in range(instance.num_agents):
-        # the threshold and the own value share agent i's units, so their
-        # ratio is the ratio of the two integers
-        _, ints, order = _agent_ints(instance, i)
+    # the threshold and the own value share agent i's units, so their ratio
+    # is the ratio of the two integers
+    for i, (_, ints, order) in enumerate(instance._units):
         threshold = _threshold_units(ints, order, allocation.bundles, i)[1]
         if threshold == 0:
             continue

@@ -1,8 +1,10 @@
 """Exact maximin-share computation.
 
-Every share runs on one integer kernel. ``_agent_ints`` scales an agent's
-row once by the lcm D of its denominators, so all of that agent's shares,
-over any pool of goods, are integers in units of 1/D. ``_best_partition`` is
+Every share runs on one integer kernel. Each agent's row is scaled once per
+instance by the lcm D of its denominators (the view ``Instance._units``,
+built on first use), so all of that agent's shares, over any pool of goods,
+are integers in units of 1/D; ``_agent_ints`` checks an agent index and
+returns her entry. ``_best_partition`` is
 the single branch-and-bound, a loop over an explicit stack with a
 water-filling bound: it looks for a partition whose min beats a floor and
 stops at a goal; a pool with one part, or at most one positive good more
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import Allocation, Bundle, InputError, Instance, check_bundle
+from .core import Allocation, Bundle, InputError, Instance, _check_int, check_bundle
 
 NAIVE_GOODS_LIMIT = 14
 
@@ -57,22 +59,10 @@ class GmmsThreshold:
 
 
 def _agent_ints(instance: Instance, agent: int):
-    """One agent's row in integer units: (D, ints, order).
-
-    D is the lcm of the row's denominators, ``ints[g] = v_g * D`` exactly, and
-    ``order`` lists the positively valued goods by descending value (index
-    tiebreak). Every share of this agent, over any pool, is an integer
-    multiple of 1/D, so shares of different pools compare as integers.
-    """
-    if not 0 <= agent < instance.num_agents:
-        raise InputError(f"agent index {agent} out of range")
-    row = instance.valuations[agent]
-    denom = math.lcm(*(v.denominator for v in row))
-    ints = [v.numerator * (denom // v.denominator) for v in row]
-    # a stable sort, so equal values keep ascending index
-    order = sorted([g for g in range(len(ints)) if ints[g] > 0],
-                   key=ints.__getitem__, reverse=True)
-    return denom, ints, order
+    """Agent's entry (D, ints, order) of the instance's integer view (see
+    ``Instance._units``), once `agent` is checked to be an agent index."""
+    _check_int("agent", agent, 0, instance.num_agents - 1)
+    return instance._units[agent]
 
 
 def _waterfill_ok(sums, floor_level, remaining) -> bool:
@@ -199,8 +189,7 @@ def maximin_share(instance: Instance, agent: int, goods, parts: int) -> MaximinR
     Zero-valued goods never affect the value; they are stripped before the
     search and returned in the first witness bundle.
     """
-    if parts < 1:
-        raise InputError(f"parts must be >= 1, got {parts}")
+    _check_int("parts", parts, 1)
     denom, ints, order = _agent_ints(instance, agent)
     goods = check_bundle(instance, goods)
     value, witness = _pool_share(ints, order, goods, parts)
@@ -210,8 +199,7 @@ def maximin_share(instance: Instance, agent: int, goods, parts: int) -> MaximinR
 def maximin_exceeds(instance: Instance, agent: int, goods, parts: int,
                     threshold: Fraction) -> bool:
     """True iff mu_agent^parts(goods) > threshold (no witness; early exit)."""
-    if parts < 1:
-        raise InputError(f"parts must be >= 1, got {parts}")
+    _check_int("parts", parts, 1)
     # checked first: any other type would be multiplied by D before failing
     if isinstance(threshold, bool) or not isinstance(threshold, (int, Fraction)):
         raise InputError(f"threshold must be an int or a Fraction, "
@@ -253,10 +241,8 @@ def maximin_share_naive(instance: Instance, agent: int, goods, parts: int) -> Ma
     Enumerates every restricted-growth assignment of `goods` to `parts`
     bundles and takes the exact max of the min. Guarded to small inputs.
     """
-    if parts < 1:
-        raise InputError(f"parts must be >= 1, got {parts}")
-    if not 0 <= agent < instance.num_agents:
-        raise InputError(f"agent index {agent} out of range")
+    _check_int("parts", parts, 1)
+    _check_int("agent", agent, 0, instance.num_agents - 1)
     goods = sorted(check_bundle(instance, goods))
     if len(goods) > NAIVE_GOODS_LIMIT:
         raise InputError(
@@ -281,19 +267,10 @@ def mms(instance: Instance, agent: int) -> MaximinResult:
     return maximin_share(instance, agent, instance.all_goods(), instance.num_agents)
 
 
-def iter_groups(num_agents: int, agent: int, size: Optional[int] = None):
-    """Groups containing `agent`, by increasing size then lexicographic: the
-    order _group_pools keeps, here unpruned."""
-    sizes = range(1, num_agents + 1) if size is None else (size,)
-    for k in sizes:
-        for combo in itertools.combinations(range(num_agents), k):
-            if agent in combo:
-                yield combo
-
-
 def _group_pools(ints, bundles, agent: int, floor, size: Optional[int] = None):
     """(group, pooled goods) for each group containing `agent` (of `size`, or
-    of any size) that can beat the floor, in iter_groups order. `floor` is a
+    of any size) that can beat the floor, by increasing size and then in
+    lexicographic order of the sorted group. `floor` is a
     one-item list that the caller raises as it goes; every test reads its
     current value.
 
@@ -301,7 +278,7 @@ def _group_pools(ints, bundles, agent: int, floor, size: Optional[int] = None):
     exceeds |J|*f, since the share is at most the averaging cap W/|J| (see
     _best_partition); the other groups are never pooled. For each size,
     the co-members are chosen by a depth-first walk over index combinations
-    in lexicographic order, which is iter_groups order. A prefix with r open
+    in lexicographic order, which is that order. A prefix with r open
     slots is dropped, with every later choice at its depth, once its W plus
     r times the largest bundle value left to choose from is at most |J|*f;
     the floor only rises, so no dropped group could win later. For all

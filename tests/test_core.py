@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from gmms import (Allocation, InputError, Instance, ParseError, as_value,
-                  bundle_value, parse_allocation, parse_instance,
-                  serialize_allocation, serialize_instance)
+                  bundle_value, exact_gmms_search, gmms_threshold,
+                  is_kwise_fair, lexmax_allocation, maximin_exceeds,
+                  maximin_share, maximin_share_naive, mms, parse_allocation,
+                  parse_instance, serialize_allocation, serialize_instance)
 from gmms.core import _value_literal
 from gmms.generator import efl_tight, mms_not_ef1, mms_not_gmms
 
@@ -252,3 +254,33 @@ def test_negative_values_rejected_in_documents_and_instances():
     with pytest.raises(ParseError, match="negative"):
         as_value(Fraction(-1, 3))
     assert as_value("-0") == 0 and as_value("0.000") == 0
+
+
+INT_INST = Instance.from_rows([[1, 2, 3], [3, 2, 1]])
+INT_ALLOC = Allocation.from_lists([[0], [1, 2]])
+INT_ARGUMENTS = {
+    "Instance.value agent": lambda x: INT_INST.value(x, 0),
+    "Instance.value good": lambda x: INT_INST.value(0, x),
+    "bundle_value agent": lambda x: bundle_value(INT_INST, x, [0]),
+    "maximin_share agent": lambda x: maximin_share(INT_INST, x, range(3), 2),
+    "maximin_share parts": lambda x: maximin_share(INT_INST, 0, range(3), x),
+    "maximin_exceeds agent": lambda x: maximin_exceeds(INT_INST, x, range(3), 2, 1),
+    "maximin_exceeds parts": lambda x: maximin_exceeds(INT_INST, 0, range(3), x, 1),
+    "maximin_share_naive agent": lambda x: maximin_share_naive(INT_INST, x, range(3), 2),
+    "maximin_share_naive parts": lambda x: maximin_share_naive(INT_INST, 0, range(3), x),
+    "mms agent": lambda x: mms(INT_INST, x),
+    "gmms_threshold agent": lambda x: gmms_threshold(INT_INST, INT_ALLOC, x),
+    "is_kwise_fair k": lambda x: is_kwise_fair(INT_INST, INT_ALLOC, x),
+    "exact_gmms_search budget": lambda x: exact_gmms_search(INT_INST, x),
+    "lexmax_allocation budget": lambda x: lexmax_allocation(
+        Instance.from_rows([[1, 2, 3]] * 2), x),
+}
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 2.5, "0", Fraction(1)], ids=repr)
+@pytest.mark.parametrize("entry", sorted(INT_ARGUMENTS))
+def test_integer_arguments_must_be_ints(entry, bad):
+    # a bool would pass for agent 0 or 1, a float would reach an index or a
+    # report ("k": 2.0), so each is refused before any work is done
+    with pytest.raises(InputError, match="must be an int"):
+        INT_ARGUMENTS[entry](bad)

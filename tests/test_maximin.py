@@ -1,17 +1,28 @@
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
 from gmms import (Allocation, GenSpec, InputError, Instance, MaximinResult,
-                  bundle_value, efl_allocate, generate, gmms_threshold, is_gmms,
-                  maximin, maximin_exceeds, maximin_share, maximin_share_naive,
-                  mms)
-from gmms.maximin import (_agent_ints, _beating_groups, _group_pools, _pool_share,
-                          iter_groups)
+                  bundle_value, efl_allocate, exact_gmms_search, generate,
+                  gmms_factor, gmms_threshold, is_gmms, maximin,
+                  maximin_exceeds, maximin_share, maximin_share_naive, mms)
+from gmms.fairness import CHECKERS
+from gmms.maximin import _agent_ints, _beating_groups, _group_pools, _pool_share
 from gmms.generator import efl_tight, kwise_boundary, mms_not_gmms
+
+
+def iter_groups(num_agents, agent, size=None):
+    """Groups containing `agent`, by increasing size then lexicographic: the
+    order _group_pools keeps, here unpruned."""
+    sizes = range(1, num_agents + 1) if size is None else (size,)
+    for k in sizes:
+        for combo in itertools.combinations(range(num_agents), k):
+            if agent in combo:
+                yield combo
 
 
 def random_instance(rng, n, m, max_num=10, max_den=4):
@@ -220,14 +231,42 @@ def test_agent_order_breaks_ties_by_index():
     # witnesses map the kernel's values back to goods through this order
     inst = Instance.from_rows([[2, 0, 3, 2, 3, 1, 0, Fraction(3, 2)]])
     denom, ints, order = _agent_ints(inst, 0)
-    assert (denom, ints) == (2, [4, 0, 6, 4, 6, 2, 0, 3])
-    assert order == [2, 4, 0, 3, 7, 5]
+    assert (denom, ints) == (2, (4, 0, 6, 4, 6, 2, 0, 3))
+    assert order == (2, 4, 0, 3, 7, 5)
     rng = random.Random(77)
     for _ in range(200):
         inst = random_instance(rng, 1, rng.randrange(0, 12), max_num=3)
         _, ints, order = _agent_ints(inst, 0)
-        assert order == sorted((g for g in range(len(ints)) if ints[g] > 0),
-                               key=lambda g: (-ints[g], g))
+        assert order == tuple(sorted((g for g in range(len(ints)) if ints[g] > 0),
+                                     key=lambda g: (-ints[g], g)))
+
+
+def test_view_is_cached_and_invisible(monkeypatch):
+    # the view is built once per instance, on first use, and leaves ==,
+    # hash, repr and pickling as they were
+    rows = [[3, 0, Fraction(1, 2), 2, 1], [0, 0, 0, 0, 0], [1, 4, 2, Fraction(3, 4), 1]]
+    built, fresh = Instance.from_rows(rows), Instance.from_rows(rows)
+    alloc = Allocation.from_lists([[0, 1], [2], [3, 4]])
+    scaled = []
+    real_lcm = math.lcm
+    monkeypatch.setattr(math, "lcm", lambda *ds: scaled.append(ds) or real_lcm(*ds))
+
+    def outputs(inst):
+        docs = [checker(inst, alloc).to_doc() for checker in CHECKERS.values()]
+        return (docs, gmms_factor(inst, alloc), exact_gmms_search(inst).to_doc(),
+                [mms(inst, a).to_doc() for a in range(3)])
+
+    expected = outputs(built)
+    outputs(built)
+    assert len(scaled) == 3  # one lcm per row, over both rounds
+    assert "_units" in vars(built) and "_units" not in vars(fresh)
+    assert built == fresh and hash(built) == hash(fresh)
+    assert repr(built) == repr(fresh)
+    for inst in (built, fresh):
+        copy = pickle.loads(pickle.dumps(inst))
+        assert copy == inst and outputs(copy) == expected
+    monkeypatch.undo()
+    assert outputs(fresh) == expected
 
 
 def test_exceeds_rejects_float_threshold():

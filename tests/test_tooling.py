@@ -1,12 +1,17 @@
-"""Guards that read source files: the benchmark tooling names package
-functions, the package keeps its searches free of recursion and its checks
-free of assert statements, it decodes JSON in one place, and it reaches the
-share kernel, the group loop, the LPT seed and the EFX test each through
-its own doors."""
+"""Guards on the package's shape, mostly read from its source files: the
+benchmark tooling names package functions, the package keeps its searches
+free of recursion and its checks free of assert statements, it decodes JSON
+in one place, it scales valuation rows in one place, into one view of
+tuples per instance, and it reaches the share kernel, the group loop, the
+LPT seed and the EFX test each through its own doors."""
 
 import ast
+import dataclasses
 import importlib
+from fractions import Fraction
 from pathlib import Path
+
+from gmms import Instance
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "bench" / "tracing.py"
@@ -199,10 +204,34 @@ def test_lpt_seed_has_two_callers():
 
 
 def test_efx_kernel_has_two_callers():
-    # EFX is one check: is_efx runs it on exact values and the exact
-    # search's leaves on the integer rows from its stack
+    # EFX is one check: is_efx runs it on the instance's integer rows and
+    # the exact search's leaves on the same rows, with own values from its
+    # stack
     users = sorted((path.name, fn) for path in sorted(PACKAGE.glob("*.py"))
                    for fn in callers(ast.parse(path.read_text(encoding="utf-8")),
                                      "_efx_violation"))
     assert users == [("algorithms.py", "exact_gmms_search"),
                      ("fairness.py", "is_efx")]
+
+
+def test_rows_are_scaled_only_by_the_view():
+    # every integer kernel reads each agent's (D, ints, order) from the one
+    # view an instance caches, so a row is scaled in one place, once
+    users = [(path.name, fn) for path in sorted(PACKAGE.glob("*.py"))
+             for fn, _ in references(ast.parse(path.read_text(encoding="utf-8")),
+                                     "lcm")]
+    assert users == [("core.py", "_units")]
+
+
+def test_view_is_made_of_tuples():
+    # every caller reads the same cached view, so no part of it may be
+    # mutable; it is no dataclass field, so ==, hash and repr ignore it
+    assert "_units" not in {f.name for f in dataclasses.fields(Instance)}
+    for rows in ([[1, 0, Fraction(3, 2)], [0, 0, 0]], [[]], [[Fraction(1, 6)] * 4]):
+        units = Instance.from_rows(rows)._units
+        assert type(units) is tuple and len(units) == len(rows)
+        for entry in units:
+            denom, ints, order = entry
+            assert (type(entry), type(denom), type(ints), type(order)) == (
+                tuple, int, tuple, tuple)
+            assert all(type(x) is int for x in ints + order)
