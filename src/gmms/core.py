@@ -152,22 +152,16 @@ class Instance:
 def check_bundle(instance: Instance, bundle: Iterable[int]) -> Bundle:
     b = frozenset(bundle)
     for g in b:
-        if not isinstance(g, int) or not 0 <= g < instance.num_goods:
-            raise InputError(f"good index {_quote(g)} out of range for "
-                             f"{instance.num_goods} goods")
+        _check_int("good index", g, 0, instance.num_goods - 1)
     return b
 
 
 def bundle_value(instance: Instance, agent: int, bundle: Iterable[int]) -> Fraction:
-    """Exact value of a bundle for an agent (additive; empty bundle -> 0)."""
+    """Exact value of a bundle for an agent (additive; empty bundle -> 0).
+    A good listed twice counts once, as in every entry point."""
     _check_int("agent", agent, 0, instance.num_agents - 1)
     row = instance.valuations[agent]
-    total = Fraction(0)
-    for g in bundle:
-        if not 0 <= g < instance.num_goods:
-            raise InputError(f"good index {g} out of range")
-        total += row[g]
-    return total
+    return sum((row[g] for g in check_bundle(instance, bundle)), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -269,7 +263,7 @@ def _check_int(name: str, x, low: int, high=None) -> None:
         raise InputError(f"{name} must be an int, got {_quote(x)}")
     if x < low or high is not None and x > high:
         span = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise InputError(f"{name} must be {span}, got {x}")
+        raise InputError(f"{name} must be {span}, got {_quote(x)}")
 
 
 def _json_doc(text, **kw):

@@ -6,9 +6,10 @@ built on first use), so all of that agent's shares, over any pool of goods,
 are integers in units of 1/D; ``_agent_ints`` checks an agent index and
 returns her entry. ``_best_partition`` is
 the single branch-and-bound, a loop over an explicit stack with a
-water-filling bound: it looks for a partition whose min beats a floor and
-stops at a goal; a pool with one part, or at most one positive good more
-than parts, it decides in closed form with no search. ``_pool_share``, its
+water-filling bound, tested in line at each placement: it looks for a
+partition whose min beats a floor and stops at a goal; a pool with one
+part, or at most two positive goods more than parts, it decides by its LPT
+seed, which is optimal there, with no search. ``_pool_share``, its
 one caller, adds the witness.
 ``_beating_groups``, the one group walker, yields each group whose pooled
 share beats the floor so far; its pool builder ``_group_pools`` never pools
@@ -65,21 +66,6 @@ def _agent_ints(instance: Instance, agent: int):
     return instance._units[agent]
 
 
-def _waterfill_ok(sums, floor_level, remaining) -> bool:
-    """Can every bundle be raised to at least floor_level using `remaining`?
-
-    Fractional relaxation; a False answer proves no completion reaches
-    min >= floor_level.
-    """
-    need = 0
-    for s in sums:
-        if s < floor_level:
-            need += floor_level - s
-            if need > remaining:
-                return False
-    return True
-
-
 def _lpt_seed(vals, k):
     """Greedy longest-first assignment; a quick lower bound on the optimum."""
     sums = [0] * k
@@ -99,31 +85,35 @@ def _best_partition(vals, k, floor=-1, goal=None):
     multiple of gcd(vals) <= total/k, which bounds the optimum). Returns
     (floor, None) when no partition beats `floor`. The optimisation form is
     the default; the decision form "is the optimum > t?" is floor=t,
-    goal=t+1. With k = 1, p = k or p = k + 1 the optimum is known in closed
-    form (the total; the smallest value; the (k-1)-th largest value or the
-    two smallest paired, whichever is less) and the LPT seed attains it, so
-    those pools return the seed, or (floor, None), with no search: the pair
-    the search would return, as it never strictly improves an optimal seed.
+    goal=t+1.
+
+    With k = 1 or p <= k + 2 the LPT seed is optimal, so those pools return
+    it, or (floor, None), with no search: the pair the search would return,
+    as it never strictly improves an optimal seed. One part holds the total;
+    with p = k each value stands alone. With k < p <= k + 2 no bin of some
+    optimum is empty, so each bin holds one value but for one pair
+    (p = k + 1), or one triple or two pairs (p = k + 2). Exchanging values
+    puts the largest alone, and pairs the four smallest a >= b >= c >= d as
+    a + d and b + c. LPT places the k largest alone, c with b, and then d
+    on the least bin: with a when a <= b + c, building the pairs, whose min
+    is at least a, the triple's min; else into the triple, whose min,
+    min(a, b + c + d), exceeds the pairs' b + c. At p = k + 3 LPT can miss:
+    [3, 3, 2, 2, 2] with k = 2 has optimum 6 and seed 5.
+
     Otherwise one loop over an explicit stack, so no recursion limit bounds
     p; skipping each bin whose sum an earlier bin shares kills bundle
-    symmetry, and subtrees that cannot beat the incumbent (by
-    water-filling) are pruned. All pruning is sound for strict improvement,
-    so in the optimisation form the witness is the LPT seed when that is
-    optimal, else the first optimal leaf in search order, whatever the floor.
+    symmetry, and subtrees that cannot beat the incumbent are pruned by
+    water-filling: the values left must raise every bin to best + 1. All
+    pruning is sound for strict improvement, so in the optimisation form
+    the witness is the LPT seed when that is optimal, else the first
+    optimal leaf in search order, whatever the floor.
     """
     p = len(vals)
     if p < k:
         return (0, list(range(p))) if floor < 0 else (floor, None)
-    if k == 1 or p <= k + 1:
-        # one part holds the total; with p = k each value stands alone; with
-        # p = k + 1 the k - 1 largest stand alone and the two smallest pair
-        if k == 1:
-            best = sum(vals)
-        elif p == k:
-            best = vals[-1]
-        else:
-            best = min(vals[k - 2], vals[k - 1] + vals[k])
-        return (floor, None) if best <= floor else _lpt_seed(vals, k)
+    if k == 1 or p <= k + 2:
+        best, assign = _lpt_seed(vals, k)
+        return (floor, None) if best <= floor else (best, assign)
     suffix = list(itertools.accumulate(reversed(vals), initial=0))[::-1]
     step = math.gcd(*vals)
     cap = suffix[0] // (k * step) * step
@@ -137,6 +127,7 @@ def _best_partition(vals, k, floor=-1, goal=None):
         best, best_assign = seed, seed_assign
         if best >= goal:
             return best, best_assign
+    level = best + 1  # the min a leaf must reach to improve
     sums = [0] * k
     assign = [-1] * p  # bin of vals[t]; -1 before its first try
     t = 0
@@ -154,14 +145,22 @@ def _best_partition(vals, k, floor=-1, goal=None):
             t -= 1
             continue
         sums[j] += v
-        assign[t] = j
-        if _waterfill_ok(sums, best + 1, suffix[t + 1]):
+        assign[t] = j  # [placement]
+        # water-filling, in line: can the values left lift every bin to level?
+        room = suffix[t + 1]
+        for s in sums:
+            if s < level:
+                room -= level - s
+                if room < 0:
+                    break
+        else:
             if t + 1 < p:
                 t += 1
-            else:  # every bin reached best + 1 with nothing left
+            else:  # every bin reached level with nothing left
                 best, best_assign = min(sums), assign[:]
                 if best >= goal:
                     return best, best_assign
+                level = best + 1
     return best, best_assign
 
 

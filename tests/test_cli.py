@@ -187,26 +187,19 @@ def test_experiment_row_fields_pinned(shape, digest):
     assert hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest() == digest
 
 
-def test_experiment_rows_share_placements_pinned(monkeypatch):
-    # every placement of the share kernel's search tests its bound once, so
-    # this counts placements over the 27 rows above. Pools with one part or
-    # at most one value more than parts are decided without a search: the
-    # count was 2646 while each of them was searched
-    from gmms import maximin
-    placements = 0
-    real_waterfill = maximin._waterfill_ok
+def test_experiment_rows_share_placements_pinned(placements):
+    # the share kernel's placements over the 27 rows above. Pools with one
+    # part or at most two values more than parts are decided without a
+    # search: the count was 2646 while each of them was searched, and 1379
+    # while only pools with at most one value more than parts were not
+    def rows():
+        for (n, m), _ in EXPERIMENT_ROW_DIGESTS:
+            for seed in range(3):
+                experiment_row(n, m, "uniform", False, seed, None)
 
-    def counted(*args):
-        nonlocal placements
-        placements += 1
-        return real_waterfill(*args)
-
-    monkeypatch.setattr(maximin, "_waterfill_ok", counted)
-    for (n, m), _ in EXPERIMENT_ROW_DIGESTS:
-        for seed in range(3):
-            experiment_row(n, m, "uniform", False, seed, None)
-    assert placements == 1379
-    assert placements < 2646
+    _, placed = placements(rows)
+    assert placed == 452
+    assert placed < 1379 < 2646
 
 
 def test_experiment_rows_and_summary(capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from gmms import (Allocation, InputError, Instance, ParseError, as_value,
                   bundle_value, exact_gmms_search, gmms_threshold,
-                  is_kwise_fair, lexmax_allocation, maximin_exceeds,
+                  is_envy_free, is_kwise_fair, lexmax_allocation, maximin_exceeds,
                   maximin_share, maximin_share_naive, mms, parse_allocation,
                   parse_instance, serialize_allocation, serialize_instance)
 from gmms.core import _value_literal
@@ -17,6 +17,13 @@ from gmms.generator import efl_tight, mms_not_ef1, mms_not_gmms
 def test_bundle_value_unit_goods():
     inst, _ = mms_not_ef1()
     assert bundle_value(inst, 0, {0, 1, 2}) == 3
+
+
+def test_bundle_value_counts_each_good_once():
+    # a bundle is a set: the share oracle reads [2, 2, 0] as {0, 2}
+    inst = Instance.from_rows([[1, 2, 3]])
+    assert bundle_value(inst, 0, [2, 2, 0]) == 4
+    assert maximin_share(inst, 0, [2, 2, 0], 1).value == 4
 
 
 def test_bundle_value_empty_is_zero():
@@ -262,6 +269,12 @@ INT_ARGUMENTS = {
     "Instance.value agent": lambda x: INT_INST.value(x, 0),
     "Instance.value good": lambda x: INT_INST.value(0, x),
     "bundle_value agent": lambda x: bundle_value(INT_INST, x, [0]),
+    "bundle_value good": lambda x: bundle_value(INT_INST, 0, [x]),
+    "maximin_share good": lambda x: maximin_share(INT_INST, 0, [x], 1),
+    "maximin_exceeds good": lambda x: maximin_exceeds(INT_INST, 0, [x], 1, 0),
+    # True stands for good 1 in a set, so this allocation looked complete
+    "is_envy_free good": lambda x: is_envy_free(
+        INT_INST, Allocation((frozenset({x, 0}), frozenset({2})))),
     "maximin_share agent": lambda x: maximin_share(INT_INST, x, range(3), 2),
     "maximin_share parts": lambda x: maximin_share(INT_INST, 0, range(3), x),
     "maximin_exceeds agent": lambda x: maximin_exceeds(INT_INST, x, range(3), 2, 1),

@@ -4,6 +4,7 @@ import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gmms import (Allocation, GenSpec, InputError, Instance, MaximinResult,
@@ -452,22 +453,29 @@ def lpt_seed(vals, k):
     return min(sums), assign
 
 
+def waterfill_ok(sums, level, remaining):
+    """The kernel's bound as a function of its own: can `remaining` lift
+    every bin to `level`? A False answer proves no completion reaches it."""
+    return sum(level - s for s in sums if s < level) <= remaining
+
+
 def recursive_best_partition(vals, k, floor=-1, goal=None):
     """Independent oracle: the share kernel as a recursive search, with a
     restricted-growth bound and a per-node set of tried sums, and no closed
-    form: every pool with at least k values is searched. The explicit stack
-    in maximin._best_partition must agree with it on value and witness."""
-    from gmms.maximin import _waterfill_ok
+    form: every pool with at least k values is searched. Returns the result
+    and the number of placements, each tested once against the bound. The
+    explicit stack in maximin._best_partition must agree with it on value
+    and witness."""
     p = len(vals)
     if p < k:
-        return (0, list(range(p))) if floor < 0 else (floor, None)
+        return ((0, list(range(p))) if floor < 0 else (floor, None)), 0
     suffix = [0] * (p + 1)
     for i in range(p - 1, -1, -1):
         suffix[i] = suffix[i + 1] + vals[i]
     step = math.gcd(*vals)
     cap = suffix[0] // (k * step) * step
     if cap <= floor:
-        return floor, None
+        return (floor, None), 0
     if goal is None:
         goal = cap
     best, best_assign = floor, None
@@ -475,12 +483,13 @@ def recursive_best_partition(vals, k, floor=-1, goal=None):
     if seed > best:
         best, best_assign = seed, seed_assign
         if best >= goal:
-            return best, best_assign
+            return (best, best_assign), 0
     sums = [0] * k
     assign = [0] * p
+    placed = 0
 
     def dfs(t, used):
-        nonlocal best, best_assign
+        nonlocal best, best_assign, placed
         if t == p:
             m = min(sums)
             if m > best:
@@ -495,7 +504,8 @@ def recursive_best_partition(vals, k, floor=-1, goal=None):
             tried.add(s)
             sums[j] = s + vals[t]
             assign[t] = j
-            if _waterfill_ok(sums, best + 1, suffix[t + 1]):
+            placed += 1
+            if waterfill_ok(sums, best + 1, suffix[t + 1]):
                 if dfs(t + 1, max(used, j + 1)):
                     sums[j] = s
                     return True
@@ -503,30 +513,18 @@ def recursive_best_partition(vals, k, floor=-1, goal=None):
         return False
 
     dfs(0, 0)
-    return best, best_assign
+    return (best, best_assign), placed
 
 
-def test_best_partition_matches_recursive_oracle(monkeypatch):
+def test_best_partition_matches_recursive_oracle(placements):
     from gmms import maximin
-    # every placement tests the bound once, so this counts placements: a
-    # weaker symmetry rule finds the same leaves, but only after more tries.
-    # Pools with one part or at most one value more than parts are decided
-    # in closed form, with no placement at all
-    placements = []
-    real_waterfill = maximin._waterfill_ok
-
-    def counted(*args):
-        placements[-1] += 1
-        return real_waterfill(*args)
-
-    monkeypatch.setattr(maximin, "_waterfill_ok", counted)
-
-    def run(search, args):
-        placements.append(0)
-        return search(*args), placements[-1]
-
+    # placements are counted too: a weaker symmetry rule finds the same
+    # leaves, but only after more tries. Pools with one part or at most two
+    # values more than parts are decided by the LPT seed, with no placement
+    # at all
     rng = random.Random(2024)
     below = 0  # cases whose floor lies below the optimum
+    total = 0
     for case in range(2000):
         p, k = rng.randrange(0, 13), rng.randrange(1, 7)
         kind = case % 3
@@ -547,31 +545,32 @@ def test_best_partition_matches_recursive_oracle(monkeypatch):
         forms.append((vals, k, floor, goal))  # stop at a goal
         results = []
         for args in forms:
-            found, placed = run(maximin._best_partition, args)
-            expected, searched = run(recursive_best_partition, args)
+            found, placed = placements(lambda: maximin._best_partition(*args))
+            expected, searched = recursive_best_partition(*args)
             assert found == expected, args
-            if k == 1 or p <= k + 1:
+            if k == 1 or p <= k + 2:
                 assert placed == 0, args
             else:
                 assert placed == searched, args
+            total += searched
             results.append(found)
         # from a floor below the optimum, the optimisation form finds the
         # same partition as from floor -1; the group walker relies on it
         if floor < results[0][0]:
             below += 1
             assert results[1] == results[0], (vals, k, floor)
-    assert sum(placements) > 100_000
+    assert total > 100_000
     assert below > 500
 
 
-def test_closed_form_pools_match_full_search():
-    # every pool the kernel decides without a search: one part, or k or
-    # k + 1 values; small values with ties, and multiples of a common gcd
+def test_closed_form_pools_match_full_search(placements):
+    # every pool the kernel decides without a search: one part, or k, k + 1
+    # or k + 2 values; small values with ties, and multiples of a common gcd
     from gmms.maximin import _best_partition
     pools = 0
     for values in (range(1, 5), (2, 4, 6, 8), (3, 6, 9)):
         for k in range(1, 5):
-            for p in range(1, 5) if k == 1 else (k, k + 1):
+            for p in range(1, 5) if k == 1 else (k, k + 1, k + 2):
                 for combo in itertools.combinations_with_replacement(values, p):
                     vals = sorted(combo, reverse=True)
                     cap = sum(vals) // k
@@ -579,9 +578,45 @@ def test_closed_form_pools_match_full_search():
                     for floor in range(-1, cap + 2):
                         for goal in (None, floor + 1, cap):
                             args = (vals, k, floor, goal)
-                            assert (_best_partition(*args)
-                                    == recursive_best_partition(*args)), args
-    assert pools > 500
+                            found, placed = placements(
+                                lambda: _best_partition(*args))
+                            assert found == recursive_best_partition(*args)[0], args
+                            assert placed == 0, args
+    assert pools > 1000
+
+
+def test_lpt_seed_is_optimal_with_two_values_more_than_parts():
+    # every pool of k + 2 values from 1-7, ties included, for k = 2-5: the
+    # seed's min equals the best min over every partition
+    from gmms.maximin import _lpt_seed, _restricted_growth
+    pools = 0
+    for k in range(2, 6):
+        p = k + 2
+        # column t * k + j of onehot is 1 when an assignment puts value t in
+        # bin j, so vals @ onehot gives every assignment's bin sums
+        assigns = np.array([a[:] for a in _restricted_growth(p, k)])
+        onehot = np.zeros((len(assigns), p, k), dtype=np.int64)
+        rows, cols = np.indices(assigns.shape)
+        onehot[rows, cols, assigns] = 1
+        for combo in itertools.combinations_with_replacement(range(7, 0, -1), p):
+            vals = np.array(combo)
+            optimum = int(np.einsum("t,atj->aj", vals, onehot).min(axis=1).max())
+            assert _lpt_seed(list(combo), k)[0] == optimum, (combo, k)
+            pools += 1
+    assert pools == 3312
+
+
+def test_lpt_seed_misses_with_three_values_more_than_parts(placements):
+    # the closed form stops at k + 2: here the seed pairs 3 + 2 against
+    # 3 + 2 + 2, while 3 + 3 against 2 + 2 + 2 is better, so the pool is
+    # searched and the search finds it
+    from gmms.maximin import _best_partition, _lpt_seed
+    vals = [3, 3, 2, 2, 2]
+    assert _lpt_seed(vals, 2)[0] == 5
+    (best, assign), placed = placements(lambda: _best_partition(vals, 2))
+    assert (best, assign) == (6, [0, 0, 1, 1, 1])
+    assert placed > 0
+    assert recursive_best_partition(vals, 2) == ((6, [0, 0, 1, 1, 1]), placed)
 
 
 def long_pool_instance():

@@ -2,8 +2,9 @@
 benchmark tooling names package functions, the package keeps its searches
 free of recursion and its checks free of assert statements, it decodes JSON
 in one place, it scales valuation rows in one place, into one view of
-tuples per instance, and it reaches the share kernel, the group loop, the
-LPT seed and the EFX test each through its own doors."""
+tuples per instance, it reaches the share kernel, the group loop, the
+LPT seed and the EFX test each through its own doors, and the share
+kernel's search loop makes no call into its own module."""
 
 import ast
 import dataclasses
@@ -161,6 +162,73 @@ def test_share_kernel_and_group_loop_have_one_caller():
                  for fn, _ in references(ast.parse(path.read_text(encoding="utf-8")),
                                          name)]
         assert users == [("maximin.py", door)], name
+
+
+def loop_calls(tree, name):
+    """(callee, line) of each call in a `while` loop of top-level function
+    `name` to a top-level function of the same module, as a bare name or an
+    attribute."""
+    own = {fn.name for fn in tree.body
+           if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    found = set()
+    for fn in tree.body:
+        if getattr(fn, "name", None) != name:
+            continue
+        for loop in ast.walk(fn):
+            if not isinstance(loop, ast.While):
+                continue
+            for node in ast.walk(loop):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                callee = (func.id if isinstance(func, ast.Name)
+                          else func.attr if isinstance(func, ast.Attribute) else None)
+                if callee in own:
+                    found.add((callee, node.lineno))
+    return sorted(found, key=lambda call: call[1])
+
+
+def test_loop_calls_are_detected():
+    tree = ast.parse("def bound(xs):\n"
+                     "    return len(xs)\n"
+                     "def kernel(xs):\n"
+                     "    bound(xs)\n"
+                     "    while xs:\n"
+                     "        xs.pop()\n"
+                     "        while m.bound(xs) > 2:\n"
+                     "            xs.pop()\n"
+                     "    return [bound(x) for x in xs]\n"
+                     "def other(xs):\n"
+                     "    while bound(xs):\n"
+                     "        xs.pop()\n")
+    assert loop_calls(tree, "kernel") == [("bound", 7)]
+    assert loop_calls(tree, "other") == [("bound", 11)]
+
+
+def kernel_loop():
+    """maximin.py's syntax tree and the `while` loop of _best_partition."""
+    tree = ast.parse((PACKAGE / "maximin.py").read_text(encoding="utf-8"))
+    (kernel,) = [fn for fn in tree.body if getattr(fn, "name", None) == "_best_partition"]
+    (loop,) = [node for node in kernel.body if isinstance(node, ast.While)]
+    return tree, loop
+
+
+def test_share_kernel_loop_makes_no_call():
+    # a Python call per placement costs more than the bound it tests, so
+    # the water-filling test runs in line
+    tree, _ = kernel_loop()
+    assert loop_calls(tree, "_best_partition") == []
+
+
+def test_placement_marker_is_unique(placement_marker):
+    # the kernel keeps no counter: the tests count placements by the one
+    # line of its loop that carries the marker (see conftest.py)
+    _, loop = kernel_loop()
+    marked = [(path.name, line) for path in sorted(PACKAGE.glob("*.py"))
+              for line, text in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+              if text.rstrip().endswith(placement_marker)]
+    assert len(marked) == 1 and marked[0][0] == "maximin.py", marked
+    assert loop.lineno < marked[0][1] <= loop.end_lineno
 
 
 def callers(tree, name):
