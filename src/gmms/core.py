@@ -99,10 +99,8 @@ class Instance:
     valuations: tuple  # n rows of m Fractions each
 
     def __post_init__(self):
-        if self.num_agents < 1:
-            raise InputError(f"need at least one agent, got {self.num_agents}")
-        if self.num_goods < 0:
-            raise InputError(f"negative number of goods: {self.num_goods}")
+        _check_int("num_agents", self.num_agents, 1)
+        _check_int("num_goods", self.num_goods, 0)
         if len(self.valuations) != self.num_agents:
             raise InputError(
                 f"{len(self.valuations)} valuation rows for {self.num_agents} agents")

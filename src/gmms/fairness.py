@@ -1,7 +1,11 @@
 """Verifiers for every fairness notion on complete allocations.
 
 Each checker returns a FairnessReport; a failed report carries a violation
-witness whose inequality re-evaluates exactly as reported.
+witness whose inequality re-evaluates exactly as reported. Each check is
+one of two walks on the integer view ``Instance._units``: EF, EF1, EFX and
+EFL test each envied pair of the lazy walk ``_envied`` (``_pair_violation``),
+and MMS, PMMS, k-wise and GMMS run the group walker from each agent's own
+value (``_group_violation``). Only a witness is made of Fractions.
 """
 
 from __future__ import annotations
@@ -64,59 +68,85 @@ class FairnessReport:
         return doc
 
 
-def _value_matrix(rows, bundles):
-    """Row i: agent i's value of every bundle, in the units of rows[i].
-    Rows are computed as they are read, so a check that stops at its first
-    violation skips the rest."""
-    return ([sum(row[g] for g in b) for b in bundles] for row in rows)
+def _report(notion: Notion, witness: Optional[Violation], k=None) -> FairnessReport:
+    """The report of a check whose first violation is `witness` (None: holds)."""
+    return FairnessReport(notion, witness is None, witness, k)
 
 
-def _envied(sums):
-    """(i, j, own, value), agent-major, for each bundle j that agent i
-    values strictly above her own; row i of `sums` is agent i's value of
-    every bundle. Every envy notion can fail only on these pairs."""
-    for i, row in enumerate(sums):
-        for j, value in enumerate(row):
-            if row[i] < value:
-                yield i, j, row[i], value
+def _own_values(rows, bundles):
+    """Each agent's value of her own bundle, in the units of her row."""
+    return [sum(map(row.__getitem__, b)) for row, b in zip(rows, bundles)]
 
 
-def _scaled_envied(instance: Instance, bundles):
-    """(i, j, own, value, denom, ints) for each pair that _envied yields, in
-    agent i's integer units: ints is her row times denom (see
-    core.Instance._units)."""
-    units = instance._units
-    for i, j, own, value in _envied(_value_matrix((u[1] for u in units), bundles)):
-        yield (i, j, own, value) + units[i][:2]
-
-
-def _efx_violation(rows, bundles, own):
-    """First (i, j, g, own[i], rest), agent-major, goods in bundle order,
-    where agent i values bundle j without its positively valued good g
-    (rest) above own[i], her value of her own bundle; None if the
-    allocation is EFX. Each bundle is summed only when it is reached, so a
-    check that stops at its first violation skips the rest."""
+def _envied(rows, bundles, own):
+    """(i, j, value), agent-major with bundles in order, for each bundle j
+    that agent i values strictly above own[i], in the units of rows[i].
+    Bundle j is summed only when agent i reaches it, so a check that stops
+    at its first violation skips the rest. Every envy notion can fail only
+    on these pairs."""
     for i, row in enumerate(rows):
         mine = own[i]
         for j, bundle in enumerate(bundles):
-            if j == i:
-                continue
-            value = sum(map(row.__getitem__, bundle))
-            if mine < value:  # envied: a good worth less than the gap violates
-                gap = value - mine
-                for g in bundle:
-                    if 0 < row[g] < gap:
-                        return i, j, g, mine, value - row[g]
+            if j != i:
+                value = sum(map(row.__getitem__, bundle))
+                if mine < value:
+                    yield i, j, value
+
+
+def _pair_violation(instance: Instance, allocation: Allocation,
+                    test) -> Optional[Violation]:
+    """The first envied pair (i, j) that `test` finds violated, as a
+    Violation; test(row, own, value, bundle) gets agent i's integer row
+    (see core.Instance._units), own and bundle values, and bundle j's goods
+    ascending, and returns (good, rhs) for a violation, else None."""
+    allocation.validate(instance, require_complete=True)
+    units = instance._units
+    rows = [ints for _, ints, _ in units]
+    bundles = [sorted(b) for b in allocation.bundles]
+    own = _own_values(rows, bundles)
+    for i, j, value in _envied(rows, bundles, own):
+        hit = test(rows[i], own[i], value, bundles[j])
+        if hit is not None:
+            denom = units[i][0]
+            return Violation(i, (j,), good=hit[0], lhs=Fraction(own[i], denom),
+                             rhs=Fraction(hit[1], denom))
     return None
 
 
+def _top(row, bundle):
+    """The good of `bundle` the agent values most; the lowest index on ties."""
+    return max(bundle, key=lambda g: (row[g], -g))
+
+
+def _ef1_hit(row, own, value, bundle):
+    """The envy outlives removing the bundle's top good."""
+    top = _top(row, bundle)
+    return (top, value - row[top]) if own < value - row[top] else None
+
+
+def _efx_hit(row, own, value, bundle):
+    """The first positively valued good whose removal leaves the envy."""
+    gap = value - own
+    for g in bundle:
+        if 0 < row[g] < gap:
+            return g, value - row[g]
+    return None
+
+
+def _efl_hit(row, own, value, bundle):
+    """Two or more positively valued goods, and none both kills the envy
+    when removed and is worth at most the own value: the top good fails."""
+    if (sum(row[g] > 0 for g in bundle) <= 1
+            or any(own >= value - row[g] and own >= row[g] for g in bundle)):
+        return None
+    top = _top(row, bundle)
+    return top, (value - row[top] if own < value - row[top] else row[top])
+
+
 def is_envy_free(instance: Instance, allocation: Allocation) -> FairnessReport:
-    """v_i(A_i) >= v_i(A_j) for all pairs."""
-    allocation.validate(instance, require_complete=True)
-    for i, j, own, value, denom, _ in _scaled_envied(instance, allocation.bundles):
-        return FairnessReport(Notion.EF, False, Violation(
-            i, (j,), lhs=Fraction(own, denom), rhs=Fraction(value, denom)))
-    return FairnessReport(Notion.EF, True)
+    """v_i(A_i) >= v_i(A_j) for all pairs: every envied pair violates it."""
+    return _report(Notion.EF, _pair_violation(
+        instance, allocation, lambda row, own, value, bundle: (None, value)))
 
 
 def is_ef1(instance: Instance, allocation: Allocation) -> FairnessReport:
@@ -124,48 +154,19 @@ def is_ef1(instance: Instance, allocation: Allocation) -> FairnessReport:
 
     Empty bundles are never envied: v_i(A_i) >= 0 = v_i(empty).
     """
-    allocation.validate(instance, require_complete=True)
-    for i, j, own, value, denom, row in _scaled_envied(instance, allocation.bundles):
-        top = max(allocation.bundles[j], key=lambda g: (row[g], -g))
-        if own < value - row[top]:
-            return FairnessReport(Notion.EF1, False, Violation(
-                i, (j,), good=top, lhs=Fraction(own, denom),
-                rhs=Fraction(value - row[top], denom)))
-    return FairnessReport(Notion.EF1, True)
+    return _report(Notion.EF1, _pair_violation(instance, allocation, _ef1_hit))
 
 
 def is_efx(instance: Instance, allocation: Allocation) -> FairnessReport:
     """Removing any positively valued good from the envied bundle kills the envy."""
-    allocation.validate(instance, require_complete=True)
-    units = instance._units
-    rows = [ints for _, ints, _ in units]
-    found = _efx_violation(rows, [sorted(b) for b in allocation.bundles],
-                           [sum(map(row.__getitem__, b))
-                            for row, b in zip(rows, allocation.bundles)])
-    if found is None:
-        return FairnessReport(Notion.EFX, True)
-    i, j, g, own, rest = found
-    denom = units[i][0]
-    return FairnessReport(Notion.EFX, False, Violation(
-        i, (j,), good=g, lhs=Fraction(own, denom), rhs=Fraction(rest, denom)))
+    return _report(Notion.EFX, _pair_violation(instance, allocation, _efx_hit))
 
 
 def is_efl(instance: Instance, allocation: Allocation) -> FairnessReport:
     """Either the envied bundle holds at most one positively valued good, or
     some good both kills the envy when removed and is worth no more than the
     envious agent's own bundle."""
-    allocation.validate(instance, require_complete=True)
-    for i, j, own, value, denom, row in _scaled_envied(instance, allocation.bundles):
-        bundle = allocation.bundles[j]
-        if sum(row[g] > 0 for g in bundle) <= 1:
-            continue
-        if not any(own >= value - row[g] and own >= row[g] for g in bundle):
-            top = max(bundle, key=lambda g: (row[g], -g))
-            rhs = value - row[top] if own < value - row[top] else row[top]
-            return FairnessReport(Notion.EFL, False, Violation(
-                i, (j,), good=top, lhs=Fraction(own, denom),
-                rhs=Fraction(rhs, denom)))
-    return FairnessReport(Notion.EFL, True)
+    return _report(Notion.EFL, _pair_violation(instance, allocation, _efl_hit))
 
 
 def _group_violation(instance: Instance, allocation: Allocation,
@@ -175,12 +176,12 @@ def _group_violation(instance: Instance, allocation: Allocation,
     core.Instance._units) in optimisation form from the own value, so one
     search gives the share and the witness maximin_share would give. Only
     groups whose bundles she values above her own on average are pooled."""
+    own = _own_values([u[1] for u in instance._units], allocation.bundles)
     for i, (denom, ints, order) in enumerate(instance._units):
-        own = sum(ints[g] for g in allocation.bundles[i])
         for group, value, witness in _beating_groups(
-                ints, order, allocation.bundles, i, own, size):
+                ints, order, allocation.bundles, i, own[i], size):
             return Violation(i, group, partition=witness,
-                             lhs=Fraction(own, denom), rhs=Fraction(value, denom))
+                             lhs=Fraction(own[i], denom), rhs=Fraction(value, denom))
     return None
 
 
@@ -208,8 +209,7 @@ def is_kwise_fair(instance: Instance, allocation: Allocation, k: int) -> Fairnes
     """Every agent clears her k-part share over every size-k group's pool."""
     allocation.validate(instance, require_complete=True)
     _check_int("k", k, 1, instance.num_agents)
-    witness = _group_violation(instance, allocation, k)
-    return FairnessReport(Notion.KWISE, witness is None, witness, k=k)
+    return _report(Notion.KWISE, _group_violation(instance, allocation, k), k)
 
 
 def is_gmms(instance: Instance, allocation: Allocation) -> FairnessReport:
@@ -219,8 +219,7 @@ def is_gmms(instance: Instance, allocation: Allocation) -> FairnessReport:
     the same goods into fewer parts, so its share dominates.
     """
     allocation.validate(instance, require_complete=True)
-    witness = _group_violation(instance, allocation)
-    return FairnessReport(Notion.GMMS, witness is None, witness)
+    return _report(Notion.GMMS, _group_violation(instance, allocation))
 
 
 def gmms_factor(instance: Instance, allocation: Allocation) -> Optional[Fraction]:
@@ -231,13 +230,14 @@ def gmms_factor(instance: Instance, allocation: Allocation) -> Optional[Fraction
     """
     allocation.validate(instance, require_complete=True)
     factor: Optional[Fraction] = None
+    own = _own_values([u[1] for u in instance._units], allocation.bundles)
     # the threshold and the own value share agent i's units, so their ratio
     # is the ratio of the two integers
     for i, (_, ints, order) in enumerate(instance._units):
         threshold = _threshold_units(ints, order, allocation.bundles, i)[1]
         if threshold == 0:
             continue
-        ratio = Fraction(sum(ints[g] for g in allocation.bundles[i]), threshold)
+        ratio = Fraction(own[i], threshold)
         if factor is None or ratio < factor:
             factor = ratio
     return factor

@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .algorithms import TieBreakPolicy
-from .core import Allocation, InputError, Instance
+from .core import Allocation, InputError, Instance, _check_int
 
 RNG_NAME = "numpy-pcg64"  # np.random.default_rng; recorded for reproducibility
 
@@ -35,14 +35,12 @@ class GenSpec:
     def __post_init__(self):
         if self.distribution not in DISTRIBUTIONS:
             raise InputError(f"unknown distribution {self.distribution!r}")
-        if self.num_agents < 1 or self.num_goods < 0:
-            raise InputError("need num_agents >= 1 and num_goods >= 0")
+        _check_int("num_agents", self.num_agents, 1)
+        _check_int("num_goods", self.num_goods, 0)
         # a double carries no more than 17 significant digits, and past
         # about 300 the quantizing product overflows
-        if not 0 <= self.digits <= 17:
-            raise InputError(f"digits must be in [0, 17], got {self.digits}")
-        if self.seed < 0:
-            raise InputError(f"seed must be >= 0, got {self.seed}")
+        _check_int("digits", self.digits, 0, 17)
+        _check_int("seed", self.seed, 0)
 
 
 def generate(spec: GenSpec) -> Instance:

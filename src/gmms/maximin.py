@@ -12,10 +12,10 @@ part, or at most two positive goods more than parts, it decides by its LPT
 seed, which is optimal there, with no search. ``_pool_share``, its
 one caller, adds the witness.
 ``_beating_groups``, the one group walker, yields each group whose pooled
-share beats the floor so far; its pool builder ``_group_pools`` never pools
-a group whose summed bundle value is at most the group size times the
-floor, as such a group's averaging cap cannot beat it, and walks the
-groups depth first so that whole runs of them are dropped at once.
+share beats the floor so far, raised at each yield; it never pools a group
+whose summed bundle value is at most the group size times the floor, as
+such a group's averaging cap cannot beat it, and walks the groups depth
+first so that whole runs of them are dropped at once.
 ``maximin_share`` uses the optimisation form, ``maximin_exceeds`` and the
 exact search's leaves the decision form (floor t, goal t+1), the fairness
 checkers the optimisation form from the agent's own value, and
@@ -266,24 +266,26 @@ def mms(instance: Instance, agent: int) -> MaximinResult:
     return maximin_share(instance, agent, instance.all_goods(), instance.num_agents)
 
 
-def _group_pools(ints, bundles, agent: int, floor, size: Optional[int] = None):
-    """(group, pooled goods) for each group containing `agent` (of `size`, or
-    of any size) that can beat the floor, by increasing size and then in
-    lexicographic order of the sorted group. `floor` is a
-    one-item list that the caller raises as it goes; every test reads its
-    current value.
+def _beating_groups(ints, order, bundles, agent: int, floor=-1,
+                    size: Optional[int] = None, goal=None):
+    """(group, value, witness) in the agent's D units for each group
+    containing `agent` (of `size`, or of any size) whose pooled share beats
+    `floor`, which each yield then raises to that value; `goal` as in
+    _best_partition. Groups come by increasing size and then in
+    lexicographic order of the sorted group.
 
     A group J can beat floor f only if the summed value W of its bundles
     exceeds |J|*f, since the share is at most the averaging cap W/|J| (see
-    _best_partition); the other groups are never pooled. For each size,
-    the co-members are chosen by a depth-first walk over index combinations
-    in lexicographic order, which is that order. A prefix with r open
-    slots is dropped, with every later choice at its depth, once its W plus
-    r times the largest bundle value left to choose from is at most |J|*f;
-    the floor only rises, so no dropped group could win later. For all
-    sizes, groups with an empty-bundle co-member are skipped: dropping that
-    member keeps the pooled goods and lowers the part count, which can only
-    raise the share, and the reduced group comes earlier in the order.
+    _best_partition); the other groups are never pooled, and a pooled group
+    whose share cannot beat f costs no witness. For each size, the
+    co-members are chosen by a depth-first walk over index combinations in
+    lexicographic order, which is that order. A prefix with r open slots is
+    dropped, with every later choice at its depth, once its W plus r times
+    the largest bundle value left to choose from is at most |J|*f; the
+    floor only rises, so no dropped group could win later. For all sizes,
+    groups with an empty-bundle co-member are skipped: dropping that member
+    keeps the pooled goods and lowers the part count, which can only raise
+    the share, and the reduced group comes earlier in the order.
     """
     w = [sum(map(ints.__getitem__, b)) for b in bundles]  # bundle values, D units
     others = [j for j in range(len(bundles))
@@ -296,11 +298,15 @@ def _group_pools(ints, bundles, agent: int, floor, size: Optional[int] = None):
         chosen, total, t, slots = [], w[agent], 0, k - 1
         while True:
             if not slots:
-                if total > k * floor[0]:
+                if total > k * floor:
                     group = tuple(sorted([agent] + [others[c] for c in chosen]))
-                    yield group, frozenset().union(*(bundles[j] for j in group))
-            elif t + slots <= len(others) and total + slots * top[t] > k * floor[0]:
-                chosen.append(t)
+                    pooled = frozenset().union(*(bundles[j] for j in group))
+                    value, witness = _pool_share(ints, order, pooled, k, floor, goal)
+                    if witness is not None:
+                        floor = value
+                        yield group, value, witness
+            elif t + slots <= len(others) and total + slots * top[t] > k * floor:
+                chosen.append(t)  # [extension]
                 total += w[others[t]]
                 t += 1
                 slots -= 1
@@ -311,23 +317,6 @@ def _group_pools(ints, bundles, agent: int, floor, size: Optional[int] = None):
             total -= w[others[t]]
             t += 1
             slots += 1
-
-
-def _beating_groups(ints, order, bundles, agent: int, floor=-1,
-                    size: Optional[int] = None, goal=None):
-    """(group, value, witness) in the agent's D units for each group
-    containing `agent` (of `size`, or of any size) whose pooled share beats
-    `floor`, which each yield then raises to that value; `goal` as in
-    _best_partition. A group whose summed bundle value cannot beat the
-    floor is never pooled (see _group_pools), and a pooled group whose
-    share cannot beat it costs no witness.
-    """
-    floor = [floor]
-    for group, pooled in _group_pools(ints, bundles, agent, floor, size):
-        value, witness = _pool_share(ints, order, pooled, len(group), floor[0], goal)
-        if witness is not None:
-            floor[0] = value
-            yield group, value, witness
 
 
 def _threshold_units(ints, order, bundles, agent: int):
@@ -346,7 +335,7 @@ def gmms_threshold(instance: Instance, allocation: Allocation, agent: int) -> Gm
     so far is the floor of every later group's search, so a group whose
     summed bundle value cannot beat it is not even pooled, and the witness
     group is the first group reaching the maximum. Groups containing
-    another agent with an empty bundle are skipped (see _group_pools).
+    another agent with an empty bundle are skipped (see _beating_groups).
     """
     allocation.validate(instance, require_complete=True)
     denom, ints, order = _agent_ints(instance, agent)

@@ -1,7 +1,9 @@
-"""Shared fixtures. The share kernel keeps no counter of its own, so the
-tests count its placements from outside: one line of
-``maximin._best_partition``, the one that records a placement, carries
-PLACEMENT_MARKER, and a line tracer counts how often it runs."""
+"""Shared fixtures. The package's searches keep no counters of their own,
+so the tests count their steps from outside: one line of a function
+carries a marker, and a line tracer counts how often it runs. The share
+kernel ``maximin._best_partition`` marks the line that records a placement
+(PLACEMENT_MARKER); the group walker ``maximin._beating_groups`` marks the
+line that extends a prefix of co-members (EXTENSION_MARKER)."""
 
 import functools
 import inspect
@@ -12,22 +14,23 @@ import pytest
 from gmms import maximin
 
 PLACEMENT_MARKER = "# [placement]"
+EXTENSION_MARKER = "# [extension]"
 
 
 @functools.cache
-def placement_line():
-    """The number of the one line of maximin._best_partition that ends in
-    PLACEMENT_MARKER."""
-    lines, first = inspect.getsourcelines(maximin._best_partition)
+def marked_line(func, marker):
+    """The number of the one line of `func` that ends in `marker`."""
+    lines, first = inspect.getsourcelines(func)
     (marked,) = [first + i for i, line in enumerate(lines)
-                 if line.rstrip().endswith(PLACEMENT_MARKER)]
+                 if line.rstrip().endswith(marker)]
     return marked
 
 
-def count_placements(call):
-    """call()'s result and the number of placements the share kernel's
-    search made during it: executions of its one marked line."""
-    code, marked = maximin._best_partition.__code__, placement_line()
+def count_marked(func, marker, call):
+    """call()'s result and the number of times the one line of `func`
+    ending in `marker` ran during it; a generator's frame is traced at
+    every resumption."""
+    code, marked = func.__code__, marked_line(func, marker)
     count = 0
 
     def local(frame, event, arg):
@@ -48,10 +51,28 @@ def count_placements(call):
     return result, count
 
 
+def count_placements(call):
+    """call()'s result and the number of placements the share kernel's
+    search made during it: executions of its one marked line."""
+    return count_marked(maximin._best_partition, PLACEMENT_MARKER, call)
+
+
+def count_extensions(call):
+    """call()'s result and the number of prefix extensions the group
+    walker made during it: executions of its one marked line."""
+    return count_marked(maximin._beating_groups, EXTENSION_MARKER, call)
+
+
 @pytest.fixture
 def placements():
     """count_placements: call() -> (result, placements)."""
     return count_placements
+
+
+@pytest.fixture
+def extensions():
+    """count_extensions: call() -> (result, prefix extensions)."""
+    return count_extensions
 
 
 @pytest.fixture

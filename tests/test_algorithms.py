@@ -13,7 +13,7 @@ from gmms import (Allocation, BudgetError, InputError, Instance, PolicyError,
                   exact_gmms_search, gmms_factor, is_ef1, is_efl, is_gmms,
                   lex_dominates, lexmax_allocation, resolve_envy_cycles)
 from gmms.algorithms import EnvyGraph
-from gmms.fairness import _efx_violation
+from gmms.fairness import _efx_hit, _envied
 from gmms.maximin import _agent_ints, _beating_groups, _lpt_seed
 from gmms.generator import (GenSpec, efl_tight, efl_tight_policy, generate,
                             mms_not_ef1)
@@ -151,15 +151,22 @@ def test_efl_tightness_trace(n):
 
 def test_policy_rejects_envied_source():
     inst = Instance.from_rows([[2, 1], [2, 1]])
-    with pytest.raises(PolicyError):
+    with pytest.raises(PolicyError, match="step 1: scripted source 0 is envied"):
         # after agent 0 takes good 0, agent 1 is the only unenvied agent
         efl_allocate(inst, policy=TieBreakPolicy(sources=(0, 0)))
+    for source in (99, -1):
+        # no agent, so neither envied nor unenvied
+        with pytest.raises(PolicyError, match=f"source {source} is not an agent"):
+            efl_allocate(inst, policy=TieBreakPolicy(sources=(source, None)))
 
 
 def test_policy_rejects_non_top_good():
     inst = Instance.from_rows([[2, 1]])
     with pytest.raises(PolicyError):
         efl_allocate(inst, policy=TieBreakPolicy(goods=(1, None)))
+    for good in (0.0, False):  # good 0 is the top good, but no int
+        with pytest.raises(PolicyError, match=f"scripted good {good} is not"):
+            efl_allocate(inst, policy=TieBreakPolicy(goods=(good, None)))
 
 
 def test_policy_rejects_short_script():
@@ -282,7 +289,8 @@ def placement_loop_search(instance, budget=None):
         bundles = [[] for _ in range(n)]
         for g, a in enumerate(holder):
             bundles[a].append(g)
-        if _efx_violation(rows, bundles, own) is not None:
+        if any(_efx_hit(rows[i], own[i], value, bundles[j])
+               for i, j, value in _envied(rows, bundles, own)):
             return None
         if all(next(_beating_groups(ints, order, bundles, i, own[i],
                                     goal=own[i] + 1), None) is None

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from gmms import (Allocation, InputError, Instance, ParseError, as_value,
-                  bundle_value, exact_gmms_search, gmms_threshold,
+from gmms import (Allocation, GenSpec, InputError, Instance, ParseError,
+                  as_value, bundle_value, exact_gmms_search, gmms_threshold,
                   is_envy_free, is_kwise_fair, lexmax_allocation, maximin_exceeds,
                   maximin_share, maximin_share_naive, mms, parse_allocation,
                   parse_instance, serialize_allocation, serialize_instance)
@@ -287,6 +287,13 @@ INT_ARGUMENTS = {
     "exact_gmms_search budget": lambda x: exact_gmms_search(INT_INST, x),
     "lexmax_allocation budget": lambda x: lexmax_allocation(
         Instance.from_rows([[1, 2, 3]] * 2), x),
+    # True and 1.0 pass for a count of 1 against one row of one value
+    "Instance num_agents": lambda x: Instance(x, 1, ((Fraction(1),),)),
+    "Instance num_goods": lambda x: Instance(1, x, ((Fraction(1),),)),
+    "GenSpec num_agents": lambda x: GenSpec(x, 3),
+    "GenSpec num_goods": lambda x: GenSpec(2, x),
+    "GenSpec seed": lambda x: GenSpec(2, 3, seed=x),
+    "GenSpec digits": lambda x: GenSpec(2, 3, digits=x),
 }
 
 

@@ -12,13 +12,13 @@ from gmms import (Allocation, GenSpec, InputError, Instance, MaximinResult,
                   gmms_factor, gmms_threshold, is_gmms, maximin,
                   maximin_exceeds, maximin_share, maximin_share_naive, mms)
 from gmms.fairness import CHECKERS
-from gmms.maximin import _agent_ints, _beating_groups, _group_pools, _pool_share
+from gmms.maximin import _agent_ints, _beating_groups, _pool_share
 from gmms.generator import efl_tight, kwise_boundary, mms_not_gmms
 
 
 def iter_groups(num_agents, agent, size=None):
     """Groups containing `agent`, by increasing size then lexicographic: the
-    order _group_pools keeps, here unpruned."""
+    order _beating_groups keeps, here unpruned."""
     sizes = range(1, num_agents + 1) if size is None else (size,)
     for k in sizes:
         for combo in itertools.combinations(range(num_agents), k):
@@ -390,11 +390,12 @@ def test_pooled_group_counts_pinned(monkeypatch):
     assert counts == [1, 1, 1, 2, 2, 3, 1, 1, 1, 3, 5, 1]
 
 
-def test_walker_is_output_sensitive_at_n16(monkeypatch):
+def test_walker_is_output_sensitive_at_n16(monkeypatch, extensions):
     # 16 agents have 2**15 groups each; the first violation is found after
-    # pooling 3 of the 393,223 groups the unpruned loop pools. From agent
-    # 12's own value, 8 of her 32,768 groups can beat it by summed value,
-    # and the walk reads the floor 660 times to find them
+    # pooling 3 of the 393,223 groups the unpruned loop pools. The full
+    # walk from agent 12's own value pools 7 of her 32,768 groups, 2 of
+    # which beat the floor so far, and extends a prefix of co-members 282
+    # times to find them
     inst = generate(GenSpec(16, 48, "uniform", False, 1))
     alloc = efl_allocate(inst)
     report, calls = pool_share_calls(monkeypatch, lambda: is_gmms(inst, alloc))
@@ -404,18 +405,12 @@ def test_walker_is_output_sensitive_at_n16(monkeypatch):
         "partition": [[14, 27, 40], [13, 30, 37, 38]]}
     assert calls == 3
 
-    class CountingFloor(list):
-        reads = 0
-
-        def __getitem__(self, i):
-            self.reads += 1
-            return super().__getitem__(i)
-
-    _, ints, _ = _agent_ints(inst, 12)
-    floor = CountingFloor([sum(ints[g] for g in alloc.bundles[12])])
-    groups = [group for group, _ in _group_pools(ints, alloc.bundles, 12, floor)]
-    assert groups[:3] == [(2, 12), (5, 12), (11, 12)]
-    assert (len(groups), floor.reads) == (8, 660)
+    _, ints, order = _agent_ints(inst, 12)
+    own = sum(ints[g] for g in alloc.bundles[12])
+    (found, extended), calls = pool_share_calls(monkeypatch, lambda: extensions(
+        lambda: list(_beating_groups(ints, order, alloc.bundles, 12, own))))
+    assert [group for group, _, _ in found] == [(5, 12), (11, 12)]
+    assert (calls, extended) == (7, 282)
 
 
 def recursive_rgs(m, k):

@@ -3,8 +3,9 @@ benchmark tooling names package functions, the package keeps its searches
 free of recursion and its checks free of assert statements, it decodes JSON
 in one place, it scales valuation rows in one place, into one view of
 tuples per instance, it reaches the share kernel, the group loop, the
-LPT seed and the EFX test each through its own doors, and the share
-kernel's search loop makes no call into its own module."""
+LPT seed and the EFX test each through its own doors, it walks envied
+pairs in one place, and the share kernel's search loop makes no call into
+its own module."""
 
 import ast
 import dataclasses
@@ -152,16 +153,23 @@ def test_references_are_detected():
                                           (None, 6)]
 
 
+def package_users(name):
+    """(file, function) of every use of `name` in the package, files in
+    name order and uses in line order (see references)."""
+    return [(path.name, fn) for path in sorted(PACKAGE.glob("*.py"))
+            for fn, _ in references(ast.parse(path.read_text(encoding="utf-8")),
+                                    name)]
+
+
 def test_share_kernel_and_group_loop_have_one_caller():
     # every share search goes through _pool_share, which maps goods to the
-    # kernel and builds the witness, and every walk over groups through
-    # _beating_groups, so a change to either is made in one place
-    for name, door in (("_best_partition", "_pool_share"),
-                       ("_group_pools", "_beating_groups")):
-        users = [(path.name, fn) for path in sorted(PACKAGE.glob("*.py"))
-                 for fn, _ in references(ast.parse(path.read_text(encoding="utf-8")),
-                                         name)]
-        assert users == [("maximin.py", door)], name
+    # kernel and builds the witness; it serves the two share entry points
+    # and the one walk over groups, _beating_groups, which pools each group
+    # itself, so a change to either is made in one place
+    assert package_users("_best_partition") == [("maximin.py", "_pool_share")]
+    assert package_users("_pool_share") == [("maximin.py", "maximin_share"),
+                                            ("maximin.py", "maximin_exceeds"),
+                                            ("maximin.py", "_beating_groups")]
 
 
 def loop_calls(tree, name):
@@ -272,14 +280,88 @@ def test_lpt_seed_has_two_callers():
 
 
 def test_efx_kernel_has_two_callers():
-    # EFX is one check: is_efx runs it on the instance's integer rows and
-    # the exact search's leaves on the same rows, with own values from its
-    # stack
-    users = sorted((path.name, fn) for path in sorted(PACKAGE.glob("*.py"))
-                   for fn in callers(ast.parse(path.read_text(encoding="utf-8")),
-                                     "_efx_violation"))
-    assert users == [("algorithms.py", "exact_gmms_search"),
-                     ("fairness.py", "is_efx")]
+    # EFX is one test: is_efx runs it on each envied pair of the instance's
+    # integer rows, and the exact search's leaves on the same rows, with
+    # own values from its stack
+    assert package_users("_efx_hit") == [("algorithms.py", None),
+                                         ("algorithms.py", "leaf_passes"),
+                                         ("fairness.py", "is_efx")]
+
+
+def over_bundles(node):
+    """Whether a loop's iterable ranges over a sequence named *bundles:
+    the sequence itself, or enumerate, zip, sorted, reversed or
+    range(len(...)) of it."""
+    if isinstance(node, ast.Name):
+        return node.id.endswith("bundles")
+    if isinstance(node, ast.Attribute):
+        return node.attr.endswith("bundles")
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("enumerate", "zip", "sorted", "reversed",
+                                 "range", "len")
+            and any(over_bundles(arg) for arg in node.args))
+
+
+def pair_walks(tree):
+    """(function, line) of each loop, or comprehension clause, over the
+    bundles that runs inside another loop or clause: a walk over (agent,
+    bundle) pairs. `function` is the innermost enclosing def."""
+    spans = [(fn.lineno, fn.end_lineno, fn.name) for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    inner = set()  # ids of nodes that run inside some loop
+    for loop in ast.walk(tree):
+        if isinstance(loop, (ast.For, ast.AsyncFor, ast.While)):
+            body = loop.body + loop.orelse
+        elif isinstance(loop, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+            body = [loop.elt] + loop.generators[0].ifs + loop.generators[1:]
+        elif isinstance(loop, ast.DictComp):
+            body = [loop.key, loop.value] + loop.generators[0].ifs + loop.generators[1:]
+        else:
+            continue
+        inner.update(id(node) for part in body for node in ast.walk(part))
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension))
+                and id(node) in inner and over_bundles(node.iter)):
+            line = node.iter.lineno
+            within = [span for span in spans if span[0] <= line <= span[1]]
+            found.append((max(within)[2] if within else None, line))
+    return sorted(found, key=lambda walk: walk[1])
+
+
+def test_pair_walks_are_detected():
+    tree = ast.parse("def matrix(rows, bundles):\n"
+                     "    return ([sum(b) for b in bundles] for row in rows)\n"
+                     "def pairs(rows, alloc):\n"
+                     "    return [(r, b) for r in rows\n"
+                     "            for b in alloc.bundles]\n"
+                     "def walk(rows, bundles):\n"
+                     "    for row in rows:\n"
+                     "        for j in range(len(bundles)):\n"
+                     "            pass\n"
+                     "def flat(rows, bundles):\n"
+                     "    for row, b in zip(rows, bundles):\n"
+                     "        for g in sorted(b):\n"
+                     "            pass\n"
+                     "    for row in rows:\n"
+                     "        for x in walk(rows, bundles):\n"
+                     "            pass\n"
+                     "    return [row for b in bundles for row in rows]\n")
+    assert pair_walks(tree) == [("matrix", 2), ("pairs", 5), ("walk", 8)]
+
+
+def test_envied_pairs_have_one_walk():
+    # every envy check (EF, EF1, EFX, EFL, the envy graph, the allocator's
+    # loop invariant and the search's EFX prefilter) reads its envied pairs
+    # from _envied, the package's only loop over bundles inside a loop
+    walks = [(path.name, fn) for path in sorted(PACKAGE.glob("*.py"))
+             for fn, _ in pair_walks(ast.parse(path.read_text(encoding="utf-8")))]
+    assert walks == [("fairness.py", "_envied")]
+    assert package_users("_envied") == [("algorithms.py", None),
+                                        ("algorithms.py", "from_allocation"),
+                                        ("algorithms.py", "_assert_ef1_wrt_last"),
+                                        ("algorithms.py", "leaf_passes"),
+                                        ("fairness.py", "_pair_violation")]
 
 
 def test_rows_are_scaled_only_by_the_view():
