@@ -29,9 +29,11 @@ class EnvyGraph:
 
     @staticmethod
     def from_allocation(instance: Instance, bundles: Sequence[Bundle]) -> "EnvyGraph":
-        # Fraction rows, not the integer view: on the view the allocate
-        # benchmark ran 8x faster, but its peak RSS rose 15 %, as its runner
-        # keeps every outcome (ROADMAP item 1); the switch waits on that fix
+        # Fraction rows, not the integer view. The allocator builds a graph
+        # only at a step with no unenvied agent, to find the cycle to rotate;
+        # its picks walk columns (_first_unenvied). The view would make this
+        # and the picks faster, but the allocate benchmark's peak RSS grows
+        # with its speed, as its runner keeps every outcome (ROADMAP item 1)
         rows = instance.valuations
         envied = _envied(rows, bundles, _own_values(rows, bundles))
         return EnvyGraph(instance.num_agents, frozenset((i, j) for i, j, _ in envied))
@@ -142,6 +144,26 @@ class TieBreakPolicy:
         return seq[step]
 
 
+def _first_unenvied(rows, bundles, own, agents) -> Optional[int]:
+    """The first j in `agents` that no other agent i values strictly above
+    own[i], or None. Column-major: bundle j is summed under each other row
+    in index order, and its column stops at the first agent who envies it,
+    so a pick sums only the columns up to the first unenvied one. The
+    checkers walk agent-major (_envied), as their first witness is the
+    first envious agent's."""
+    for j in agents:
+        bundle = bundles[j]
+        for i, row in enumerate(rows):
+            if i == j:
+                continue
+            value = sum(map(row.__getitem__, bundle))  # [pair sum]
+            if own[i] < value:
+                break
+        else:
+            return j
+    return None
+
+
 def efl_allocate(instance: Instance, policy: Optional[TieBreakPolicy] = None,
                  debug: bool = False) -> Allocation:
     """Allocate all goods so the result is envy-free up to one less-preferred
@@ -151,39 +173,42 @@ def efl_allocate(instance: Instance, policy: Optional[TieBreakPolicy] = None,
     cycles are rotated away lazily, only when no unenvied agent is left;
     resolving after the final pick would permute bundles without improving
     any guarantee, and deferring keeps the algorithm's worst-case traces
-    reachable under scripted tie-breaking.
+    reachable under scripted tie-breaking. A step needs only the
+    lowest-index unenvied agent, so it walks the columns of the envy
+    matrix (_first_unenvied) and builds the envy graph only when no agent
+    is unenvied, to find the cycle to rotate.
     """
     n, m = instance.num_agents, instance.num_goods
+    rows = instance.valuations
     bundles: List[Bundle] = [frozenset()] * n
     last_good: List[Optional[int]] = [None] * n
     remaining = set(range(m))
     for step in range(m):
-        graph = EnvyGraph.from_allocation(instance, bundles)
-        sources = graph.sources()
+        own = _own_values(rows, bundles)
+        agent = _first_unenvied(rows, bundles, own, range(n))
         rotations = 0
-        while not sources:
-            cycle = graph.find_cycle()
+        while agent is None:
+            cycle = EnvyGraph.from_allocation(instance, bundles).find_cycle()
             if cycle is None:
                 raise AssertionError("sourceless envy graph must contain a cycle")
             _rotate_cycle(bundles, cycle)
             _rotate_cycle(last_good, cycle)
-            graph = EnvyGraph.from_allocation(instance, bundles)
-            sources = graph.sources()
+            own = _own_values(rows, bundles)
+            agent = _first_unenvied(rows, bundles, own, range(n))
             rotations += 1
             if rotations > n * n:
                 raise AssertionError("cycle resolution failed to terminate")
-        agent = min(sources)
         if policy is not None:
             scripted = policy.pick("sources", step)
             if scripted is not None:
                 if not (_is_json_int(scripted) and 0 <= scripted < n):
                     raise PolicyError(f"step {step}: scripted source "
                                       f"{_quote(scripted)} is not an agent")
-                if scripted not in sources:
+                if _first_unenvied(rows, bundles, own, (scripted,)) is None:
                     raise PolicyError(
                         f"step {step}: scripted source {scripted} is envied")
                 agent = scripted
-        row = instance.valuations[agent]
+        row = rows[agent]
         top = max(row[g] for g in remaining)
         good = min(g for g in remaining if row[g] == top)
         if policy is not None:

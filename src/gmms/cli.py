@@ -66,6 +66,16 @@ def _load(path: str, parse, instance=None):
         raise UsageError(f"{path}: {exc}") from None
 
 
+def _save(path: str, text: str) -> None:
+    """Write `text` and a newline to one document file. Any failure is a
+    UsageError naming the file."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise UsageError(f"{path}: {exc}") from None
+
+
 def cmd_solve_efl(args) -> int:
     instance = _load(args.instance, parse_instance)
     policy = None if args.policy is None else _load(
@@ -77,8 +87,7 @@ def cmd_solve_efl(args) -> int:
             "allocator fell below the guaranteed half of a groupwise share")
     doc = serialize_allocation(allocation)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(doc + "\n")
+        _save(args.out, doc)
     else:
         print(doc)
     print(f"gmms_factor: {factor if factor is not None else 'inf'} "
@@ -151,14 +160,13 @@ def cmd_fixture(args) -> int:
         instance, reference = generator.fixture(args.name, **params)
     except (InputError, TypeError) as exc:
         raise UsageError(str(exc)) from None
-    print(serialize_instance(instance))
+    # side files first, so a failed write leaves stdout empty
     if args.allocation_out and reference is not None:
-        with open(args.allocation_out, "w", encoding="utf-8") as fh:
-            fh.write(serialize_allocation(reference) + "\n")
+        _save(args.allocation_out, serialize_allocation(reference))
     if args.policy_out:
-        policy = generator.efl_tight_policy(args.n)
-        with open(args.policy_out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(policy.to_doc()) + "\n")
+        _save(args.policy_out,
+              json.dumps(generator.efl_tight_policy(args.n).to_doc()))
+    print(serialize_instance(instance))
     return EXIT_OK
 
 

@@ -3,7 +3,9 @@ so the tests count their steps from outside: one line of a function
 carries a marker, and a line tracer counts how often it runs. The share
 kernel ``maximin._best_partition`` marks the line that records a placement
 (PLACEMENT_MARKER); the group walker ``maximin._beating_groups`` marks the
-line that extends a prefix of co-members (EXTENSION_MARKER)."""
+line that extends a prefix of co-members (EXTENSION_MARKER); the
+allocator's pick ``algorithms._first_unenvied`` marks the line that sums
+one bundle under one agent's row (PAIR_SUM_MARKER)."""
 
 import functools
 import inspect
@@ -11,10 +13,11 @@ import sys
 
 import pytest
 
-from gmms import maximin
+from gmms import algorithms, maximin
 
 PLACEMENT_MARKER = "# [placement]"
 EXTENSION_MARKER = "# [extension]"
+PAIR_SUM_MARKER = "# [pair sum]"
 
 
 @functools.cache
@@ -63,6 +66,12 @@ def count_extensions(call):
     return count_marked(maximin._beating_groups, EXTENSION_MARKER, call)
 
 
+def count_pair_sums(call):
+    """call()'s result and the number of bundle sums the allocator's picks
+    made during it: executions of the pick walk's one marked line."""
+    return count_marked(algorithms._first_unenvied, PAIR_SUM_MARKER, call)
+
+
 @pytest.fixture
 def placements():
     """count_placements: call() -> (result, placements)."""
@@ -73,6 +82,12 @@ def placements():
 def extensions():
     """count_extensions: call() -> (result, prefix extensions)."""
     return count_extensions
+
+
+@pytest.fixture
+def pair_sums():
+    """count_pair_sums: call() -> (result, pair sums)."""
+    return count_pair_sums
 
 
 @pytest.fixture

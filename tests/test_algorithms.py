@@ -9,10 +9,12 @@ from pathlib import Path
 import pytest
 
 from gmms import (Allocation, BudgetError, InputError, Instance, PolicyError,
-                  TieBreakPolicy, build_envy_graph, bundle_value, efl_allocate,
-                  exact_gmms_search, gmms_factor, is_ef1, is_efl, is_gmms,
-                  lex_dominates, lexmax_allocation, resolve_envy_cycles)
+                  TieBreakPolicy, algorithms, build_envy_graph, bundle_value,
+                  efl_allocate, exact_gmms_search, gmms_factor, is_ef1, is_efl,
+                  is_gmms, lex_dominates, lexmax_allocation, resolve_envy_cycles,
+                  serialize_allocation)
 from gmms.algorithms import EnvyGraph
+from gmms.core import _is_json_int, _quote
 from gmms.fairness import _efx_hit, _envied
 from gmms.maximin import _agent_ints, _beating_groups, _lpt_seed
 from gmms.generator import (GenSpec, efl_tight, efl_tight_policy, generate,
@@ -182,6 +184,198 @@ def test_policy_doc_round_trip():
         TieBreakPolicy.from_doc({"goods": ["x"]})
     with pytest.raises(PolicyError, match="unknown"):
         TieBreakPolicy.from_doc({"source": [1, 0], "good": [5]})
+
+
+def full_graph_efl_allocate(instance, policy=None, debug=False, pick=min,
+                            log=None):
+    """The allocator as it was before its picks walked columns: it builds
+    the whole envy graph at every step and hands the good to pick(sources),
+    the lowest unenvied agent by default. Kept as the oracle for
+    allocations, debug runs and policy errors. `log`, when given, gets each
+    step's (sources, rotations)."""
+    n, m = instance.num_agents, instance.num_goods
+    bundles = [frozenset()] * n
+    last_good = [None] * n
+    remaining = set(range(m))
+    for step in range(m):
+        graph = EnvyGraph.from_allocation(instance, bundles)
+        sources = graph.sources()
+        rotations = 0
+        while not sources:
+            cycle = graph.find_cycle()
+            if cycle is None:
+                raise AssertionError("sourceless envy graph must contain a cycle")
+            algorithms._rotate_cycle(bundles, cycle)
+            algorithms._rotate_cycle(last_good, cycle)
+            graph = EnvyGraph.from_allocation(instance, bundles)
+            sources = graph.sources()
+            rotations += 1
+            if rotations > n * n:
+                raise AssertionError("cycle resolution failed to terminate")
+        if log is not None:
+            log.append((sources, rotations))
+        agent = pick(sources)
+        if policy is not None:
+            scripted = policy.pick("sources", step)
+            if scripted is not None:
+                if not (_is_json_int(scripted) and 0 <= scripted < n):
+                    raise PolicyError(f"step {step}: scripted source "
+                                      f"{_quote(scripted)} is not an agent")
+                if scripted not in sources:
+                    raise PolicyError(
+                        f"step {step}: scripted source {scripted} is envied")
+                agent = scripted
+        row = instance.valuations[agent]
+        top = max(row[g] for g in remaining)
+        good = min(g for g in remaining if row[g] == top)
+        if policy is not None:
+            scripted = policy.pick("goods", step)
+            if scripted is not None:
+                if (not _is_json_int(scripted) or scripted not in remaining
+                        or row[scripted] != top):
+                    raise PolicyError(
+                        f"step {step}: scripted good {scripted} is not a "
+                        f"highest-valued remaining good for agent {agent}")
+                good = scripted
+        bundles[agent] = bundles[agent] | {good}
+        last_good[agent] = good
+        remaining.discard(good)
+        if debug:
+            algorithms._assert_ef1_wrt_last(instance, bundles, last_good)
+    return Allocation(tuple(bundles))
+
+
+def efl_outcome(allocate, instance, **kw):
+    """The serialized allocation, or the text of the PolicyError raised."""
+    try:
+        return serialize_allocation(allocate(instance, **kw))
+    except PolicyError as exc:
+        return f"PolicyError: {exc}"
+
+
+def efl_sweep_instances(rng):
+    """(instance, small) over n 1-8 x m 0-30: a generator draw, uniform or
+    gaussian, independent or same-order in turn, and small integers
+    (small=True), once more with a zero row. Small integers tie often and
+    leave steps with no unenvied agent, so rotations run."""
+    kinds = itertools.cycle(itertools.product(("uniform", "gaussian"), (False, True)))
+    for n in range(1, 9):
+        for m in range(31):
+            dist, sop = next(kinds)
+            yield generate(GenSpec(n, m, dist, sop, rng.randrange(10**6))), False
+            rows = [[rng.choice((0, 0, 1, 2, 3)) for _ in range(m)] for _ in range(n)]
+            yield Instance.from_rows(rows), True
+            rows[rng.randrange(n)] = [0] * m
+            yield Instance.from_rows(rows), True
+
+
+def count_graph_builds(monkeypatch):
+    """A list that gets one entry per EnvyGraph.from_allocation call."""
+    builds, real = [], EnvyGraph.from_allocation
+
+    def counted(instance, bundles):
+        builds.append(1)
+        return real(instance, bundles)
+
+    monkeypatch.setattr(EnvyGraph, "from_allocation", staticmethod(counted))
+    return builds
+
+
+def test_efl_matches_full_graph_allocator(monkeypatch):
+    # same allocations, debug runs included, and a graph is built only for
+    # each rotation, at a step with no unenvied agent
+    builds = count_graph_builds(monkeypatch)
+    rng = random.Random(71)
+    swept = rotations = 0
+    for inst, small in efl_sweep_instances(rng):
+        log = []
+        expected = efl_outcome(full_graph_efl_allocate, inst, debug=small, log=log)
+        del builds[:]
+        assert efl_outcome(efl_allocate, inst, debug=small) == expected
+        assert len(builds) == sum(r for _, r in log)
+        rotations += len(builds)
+        swept += 1
+    assert swept == 8 * 31 * 3
+    assert rotations > 0
+
+
+def test_efl_scripted_sources_match_full_graph_allocator():
+    # a random valid script gives the same allocation; the same script with
+    # one step set to an envied agent, or to no agent, the same error
+    rng = random.Random(73)
+    runs = envied = 0
+    for inst, _ in efl_sweep_instances(rng):
+        n = inst.num_agents
+        if not inst.num_goods or rng.random() < 0.75:
+            continue
+        log, picks = [], []
+
+        def pick(sources):
+            picks.append(rng.choice(sources))
+            return picks[-1]
+
+        expected = serialize_allocation(
+            full_graph_efl_allocate(inst, pick=pick, log=log))
+        # None where the script takes the default, the lowest source
+        script = [None if p == min(sources) and rng.random() < 0.5 else p
+                  for p, (sources, _) in zip(picks, log)]
+        policy = TieBreakPolicy(sources=tuple(script))
+        assert efl_outcome(efl_allocate, inst, policy=policy) == expected
+        assert efl_outcome(full_graph_efl_allocate, inst, policy=policy) == expected
+        runs += 1
+        step = rng.randrange(len(script))
+        wrong = sorted(set(range(n)) - set(log[step][0])) + [n, -1, True, 0.0]
+        script[step] = rng.choice(wrong)
+        envied += _is_json_int(script[step]) and 0 <= script[step] < n
+        policy = TieBreakPolicy(sources=tuple(script))
+        text = efl_outcome(full_graph_efl_allocate, inst, policy=policy)
+        assert text.startswith(f"PolicyError: step {step}: scripted source ")
+        assert efl_outcome(efl_allocate, inst, policy=policy) == text
+    assert runs > 150 and envied > 20
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_efl_tight_trace_matches_full_graph_allocator(n):
+    inst, _ = efl_tight(n)
+    policy = efl_tight_policy(n)
+    assert (efl_outcome(efl_allocate, inst, policy=policy, debug=True)
+            == efl_outcome(full_graph_efl_allocate, inst, policy=policy, debug=True))
+
+
+def test_envied_script_error_matches_full_graph_allocator():
+    inst = Instance.from_rows([[2, 1, 1], [2, 1, 1]])
+    policy = TieBreakPolicy(sources=(0, 0, 0))
+    text = "PolicyError: step 1: scripted source 0 is envied"
+    assert efl_outcome(full_graph_efl_allocate, inst, policy=policy) == text
+    assert efl_outcome(efl_allocate, inst, policy=policy) == text
+
+
+def test_pick_sums_pinned(pair_sums, monkeypatch):
+    # bundle sums made by the allocator's picks; the full envy graph made
+    # n(n-1) at every pick, 76,000 at (20, 200), and was built at every step
+    builds = count_graph_builds(monkeypatch)
+    inst = generate(GenSpec(20, 200, "uniform", False, 1))
+    _, sums = pair_sums(lambda: efl_allocate(inst))
+    assert sums == 32892 and sums < 200 * 20 * 19 // 2
+    assert builds == []  # no step of this run lacks an unenvied agent
+    # one grid shape: 420 at the full graph
+    _, sums = pair_sums(lambda: [efl_allocate(generate(GenSpec(5, 7, "uniform", False, seed)))
+                                 for seed in range(3)])
+    assert sums == 205 and sums < 3 * 7 * 5 * 4 // 2
+    assert builds == []
+
+
+def test_graph_builds_pinned(monkeypatch):
+    # over the benchmark grid's 27 rows (n 3-5 x m 5-7, seeds 0-2), one
+    # step has no unenvied agent (n=3, m=7, seed 1, step 5); it builds the
+    # envy graph once for each of its 2 rotations, and no other step builds
+    # it (the full-graph allocator built 164: one per step and rotation)
+    builds = count_graph_builds(monkeypatch)
+    instances = [generate(GenSpec(n, m, "uniform", False, seed))
+                 for n in (3, 4, 5) for m in (5, 6, 7) for seed in range(3)]
+    for inst in instances:
+        efl_allocate(inst)
+    assert len(builds) == 2
 
 
 def brute_force_gmms_search(inst):
@@ -475,6 +669,25 @@ def test_debug_invariant_holds_through_rotations(monkeypatch):
     inst = Instance.from_rows([[3, 1, 4, 4, 2], [1, 0, 3, 0, 1], [4, 1, 3, 0, 0]])
     assert efl_allocate(inst, debug=True) == efl_allocate(inst)
     assert rotated
+
+
+def test_debug_failure_matches_full_graph_allocator(monkeypatch):
+    # with the last goods left out of every rotation, both allocators fail
+    # the debug invariant with the same message
+    real = algorithms._rotate_cycle
+
+    def bundles_only(per_agent, cycle):
+        if all(isinstance(b, frozenset) for b in per_agent):
+            real(per_agent, cycle)
+
+    monkeypatch.setattr(algorithms, "_rotate_cycle", bundles_only)
+    inst = Instance.from_rows([[3, 1, 4, 4, 2], [1, 0, 3, 0, 1], [4, 1, 3, 0, 0]])
+    messages = []
+    for allocate in (full_graph_efl_allocate, efl_allocate):
+        with pytest.raises(AssertionError, match="last-good envy bound") as info:
+            allocate(inst, debug=True)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 def test_debug_invariant_is_checked_under_optimize():

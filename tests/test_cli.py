@@ -95,6 +95,22 @@ def test_solve_efl_writes_allocation(tmp_path, capsys):
     assert "gmms_factor:" in out
 
 
+def assert_one_error_line(captured, path):
+    # a usage error: one line naming the file, no traceback, nothing printed
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_solve_efl_unwritable_out_exits_usage(tmp_path, capsys, where):
+    ipath = tmp_path / "i.json"
+    ipath.write_text(serialize_instance(Instance.from_rows([[3, 2, 1], [1, 2, 3]])))
+    opath = tmp_path if where == "directory" else tmp_path / "missing" / "a.json"
+    assert main(["solve-efl", str(ipath), "--out", str(opath)]) == 2
+    assert_one_error_line(capsys.readouterr(), opath)
+
+
 def test_gmms_search_command(tmp_path, capsys):
     inst = Instance.from_rows([[1, 1, 1], [1, 1, 1]])
     ipath = tmp_path / "i.json"
@@ -144,6 +160,14 @@ def test_fixture_command_bad_params(capsys):
     assert main(["fixture", "kwise_boundary", "--k", "3", "--n", "10"]) == 2
     assert main(["fixture", "mms_not_ef1", "--n", "7"]) == 2
     assert main(["fixture", "mms_not_ef1", "--policy-out", "/dev/null"]) == 2
+
+
+@pytest.mark.parametrize("option", ["--allocation-out", "--policy-out"])
+def test_fixture_unwritable_side_file_exits_usage(tmp_path, capsys, option):
+    # the side files are written before the instance is printed
+    path = tmp_path / "missing" / "x.json"
+    assert main(["fixture", "efl_tight", "--n", "3", option, str(path)]) == 2
+    assert_one_error_line(capsys.readouterr(), path)
 
 
 def test_fixture_value_literals(capsys):

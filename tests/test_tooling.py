@@ -4,8 +4,8 @@ free of recursion and its checks free of assert statements, it decodes JSON
 in one place, it scales valuation rows in one place, into one view of
 tuples per instance, it reaches the share kernel, the group loop, the
 LPT seed and the EFX test each through its own doors, it walks envied
-pairs in one place, and the share kernel's search loop makes no call into
-its own module."""
+pairs in one place and the allocator's pick in another, and the share
+kernel's search loop makes no call into its own module."""
 
 import ast
 import dataclasses
@@ -353,7 +353,10 @@ def test_pair_walks_are_detected():
 def test_envied_pairs_have_one_walk():
     # every envy check (EF, EF1, EFX, EFL, the envy graph, the allocator's
     # loop invariant and the search's EFX prefilter) reads its envied pairs
-    # from _envied, the package's only loop over bundles inside a loop
+    # from _envied, the package's only loop over bundles inside a loop. The
+    # allocator's pick is the one column-major walk (_first_unenvied): the
+    # checkers' first witness is fixed by the agent-major order, and the
+    # pick's early stop by the column-major one, so the two cannot share
     walks = [(path.name, fn) for path in sorted(PACKAGE.glob("*.py"))
              for fn, _ in pair_walks(ast.parse(path.read_text(encoding="utf-8")))]
     assert walks == [("fairness.py", "_envied")]
@@ -385,3 +388,33 @@ def test_view_is_made_of_tuples():
             assert (type(entry), type(denom), type(ints), type(order)) == (
                 tuple, int, tuple, tuple)
             assert all(type(x) is int for x in ints + order)
+
+
+def distinct_users(files, name):
+    """(file, function) pairs that use `name` (see references), each once,
+    in order, from (file name, source text) pairs."""
+    return sorted({(file, fn) for file, text in files
+                   for fn, _ in references(ast.parse(text), name)},
+                  key=lambda use: (use[0], use[1] or ""))
+
+
+def test_distinct_users_are_detected():
+    files = [("a.py", "def pick(xs):\n"
+                      "    return xs\n"
+                      "def allocate(xs):\n"
+                      "    return pick(xs) or pick(xs[1:])\n"),
+             ("b.py", "from a import pick\n"
+                      "def other(xs):\n"
+                      "    return map(pick, xs)\n")]
+    assert distinct_users(files, "pick") == [("a.py", "allocate"), ("b.py", None),
+                                             ("b.py", "other")]
+    assert distinct_users(files[:1], "pick") == [("a.py", "allocate")]
+
+
+def test_pick_walk_has_one_caller():
+    # the lowest unenvied agent is the allocator's question alone: a
+    # checker that walked columns would change its first witness
+    files = [(path.name, path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))]
+    assert distinct_users(files, "_first_unenvied") == [("algorithms.py",
+                                                         "efl_allocate")]
