@@ -19,8 +19,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import algorithms, fairness, generator, maximin
-from .core import (InputError, _json_doc, _quote, as_value, parse_allocation,
-                   parse_instance, serialize_allocation, serialize_instance)
+from .core import (_json_doc, _quote, as_value, parse_allocation, parse_instance,
+                   serialize_allocation, serialize_instance)
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -144,22 +144,33 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+# the options each fixture family takes, each with the parameter it sets
+_FIXTURE_OPTIONS = {
+    "single_good_two_agents": {},
+    "mms_not_ef1": {},
+    "kwise_boundary": {"k": "k", "n": "n"},
+    "mms_not_gmms": {"n": "n", "value": "big", "eps": "eps"},
+    "efl_tight": {"n": "n"},
+}
+
+
 def cmd_fixture(args) -> int:
     if args.policy_out and args.name != "efl_tight":
         raise UsageError("--policy-out only applies to the efl_tight fixture")
-    params = {}
-    if args.k is not None:
-        params["k"] = args.k
-    if args.n is not None:
-        params["n"] = args.n
-    if args.value is not None:
-        params["big"] = as_value(args.value)
-    if args.eps is not None:
-        params["eps"] = as_value(args.eps)
-    try:
-        instance, reference = generator.fixture(args.name, **params)
-    except (InputError, TypeError) as exc:
-        raise UsageError(str(exc)) from None
+    takes = _FIXTURE_OPTIONS[args.name]
+    given = {option: getattr(args, option) for option in ("k", "n", "value", "eps")
+             if getattr(args, option) is not None}
+    extra = [f"--{option}" for option in given if option not in takes]
+    if extra:
+        raise UsageError(f"fixture {args.name} does not take {', '.join(extra)}")
+    for option in ("value", "eps"):
+        if option in given:
+            given[option] = as_value(given[option])
+    missing = [f"--{option}" for option in takes if option not in given]
+    if missing:
+        raise UsageError(f"fixture {args.name} needs {', '.join(missing)}")
+    instance, reference = generator.fixture(
+        args.name, **{takes[option]: x for option, x in given.items()})
     # side files first, so a failed write leaves stdout empty
     if args.allocation_out and reference is not None:
         _save(args.allocation_out, serialize_allocation(reference))

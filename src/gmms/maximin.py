@@ -6,7 +6,8 @@ built on first use), so all of that agent's shares, over any pool of goods,
 are integers in units of 1/D; ``_agent_ints`` checks an agent index and
 returns her entry. ``_best_partition`` is
 the single branch-and-bound, a loop over an explicit stack with a
-water-filling bound, tested in line at each placement: it looks for a
+water-filling bound whose deficit it keeps as a running sum, so that each
+placement tests the bound in O(1): it looks for a
 partition whose min beats a floor and stops at a goal; a pool with one
 part, or at most two positive goods more than parts, it decides by its LPT
 seed, which is optimal there, with no search. ``_pool_share``, its
@@ -103,7 +104,12 @@ def _best_partition(vals, k, floor=-1, goal=None):
     Otherwise one loop over an explicit stack, so no recursion limit bounds
     p; skipping each bin whose sum an earlier bin shares kills bundle
     symmetry, and subtrees that cannot beat the incumbent are pruned by
-    water-filling: the values left must raise every bin to best + 1. All
+    water-filling: the values left must raise every bin to best + 1. The
+    summed deficit of the bins below best + 1 is kept as a running sum,
+    moved by the one bin that a value enters or leaves and summed afresh
+    only when an improving leaf raises best; testing it whole is the same
+    test as walking the bins and stopping once the partial deficit passes
+    the values left, as partial deficits only grow. All
     pruning is sound for strict improvement, so in the optimisation form
     the witness is the LPT seed when that is optimal, else the first
     optimal leaf in search order, whatever the floor.
@@ -128,13 +134,19 @@ def _best_partition(vals, k, floor=-1, goal=None):
         if best >= goal:
             return best, best_assign
     level = best + 1  # the min a leaf must reach to improve
+    # the bins' summed deficit below level, kept as bin sums move; best is
+    # at least the seed, which fills every bin, so all k empty bins fall short
+    short = k * level
     sums = [0] * k
     assign = [-1] * p  # bin of vals[t]; -1 before its first try
     t = 0
     while t >= 0:
         v, j = vals[t], assign[t]
         if j >= 0:
-            sums[j] -= v
+            s = sums[j] - v
+            sums[j] = s
+            if s < level:
+                short += v if s + v <= level else level - s
         j += 1
         # a bin whose sum an earlier bin shares would repeat that subtree;
         # this also tries only the first empty bin, as vals are positive
@@ -144,16 +156,13 @@ def _best_partition(vals, k, floor=-1, goal=None):
             assign[t] = -1
             t -= 1
             continue
-        sums[j] += v
+        s = sums[j]
+        sums[j] = s + v
         assign[t] = j  # [placement]
-        # water-filling, in line: can the values left lift every bin to level?
-        room = suffix[t + 1]
-        for s in sums:
-            if s < level:
-                room -= level - s
-                if room < 0:
-                    break
-        else:
+        if s < level:
+            short -= v if s + v <= level else level - s
+        # water-filling: can the values left lift every bin to level?
+        if short <= suffix[t + 1]:
             if t + 1 < p:
                 t += 1
             else:  # every bin reached level with nothing left
@@ -161,6 +170,8 @@ def _best_partition(vals, k, floor=-1, goal=None):
                 if best >= goal:
                     return best, best_assign
                 level = best + 1
+                # no bin is below best, so the bins at best fall 1 short each
+                short = sums.count(best)  # [level]
     return best, best_assign
 
 

@@ -2,7 +2,8 @@
 so the tests count their steps from outside: one line of a function
 carries a marker, and a line tracer counts how often it runs. The share
 kernel ``maximin._best_partition`` marks the line that records a placement
-(PLACEMENT_MARKER); the group walker ``maximin._beating_groups`` marks the
+(PLACEMENT_MARKER) and the line that sums its water-filling deficit afresh
+(LEVEL_MARKER); the group walker ``maximin._beating_groups`` marks the
 line that extends a prefix of co-members (EXTENSION_MARKER); the
 allocator's pick ``algorithms._first_unenvied`` marks the line that sums
 one bundle under one agent's row (PAIR_SUM_MARKER)."""
@@ -16,6 +17,7 @@ import pytest
 from gmms import algorithms, maximin
 
 PLACEMENT_MARKER = "# [placement]"
+LEVEL_MARKER = "# [level]"
 EXTENSION_MARKER = "# [extension]"
 PAIR_SUM_MARKER = "# [pair sum]"
 
@@ -60,6 +62,12 @@ def count_placements(call):
     return count_marked(maximin._best_partition, PLACEMENT_MARKER, call)
 
 
+def count_levels(call):
+    """call()'s result and the number of times the share kernel summed its
+    water-filling deficit afresh, on raising its bound, during it."""
+    return count_marked(maximin._best_partition, LEVEL_MARKER, call)
+
+
 def count_extensions(call):
     """call()'s result and the number of prefix extensions the group
     walker made during it: executions of its one marked line."""
@@ -76,6 +84,12 @@ def count_pair_sums(call):
 def placements():
     """count_placements: call() -> (result, placements)."""
     return count_placements
+
+
+@pytest.fixture
+def levels():
+    """count_levels: call() -> (result, deficit recomputes)."""
+    return count_levels
 
 
 @pytest.fixture

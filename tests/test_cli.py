@@ -162,6 +162,70 @@ def test_fixture_command_bad_params(capsys):
     assert main(["fixture", "mms_not_ef1", "--policy-out", "/dev/null"]) == 2
 
 
+# each fixture family with every option it takes, and a value for each option
+FIXTURE_RUNS = {
+    "single_good_two_agents": {},
+    "mms_not_ef1": {},
+    "kwise_boundary": {"--k": "4", "--n": "9"},
+    "mms_not_gmms": {"--n": "4", "--value": "1", "--eps": "1/8"},
+    "efl_tight": {"--n": "3"},
+}
+OPTION_VALUES = {"--k": "4", "--n": "4", "--value": "1", "--eps": "1/8"}
+
+
+def fixture_argv(name, options):
+    return ["fixture", name, *(x for item in options.items() for x in item)]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_RUNS))
+def test_fixture_options_named_before_the_call(capsys, name):
+    # a missing option and one the family does not take each exit 2 with
+    # one line naming the CLI option, never a Python parameter
+    full = FIXTURE_RUNS[name]
+    assert main(fixture_argv(name, full)) == 0
+    capsys.readouterr()
+    cases = [({o: v for o, v in full.items() if o != option}, f"needs {option}")
+             for option in full]
+    cases += [({**full, option: value}, f"does not take {option}")
+              for option, value in OPTION_VALUES.items() if option not in full]
+    assert cases
+    for options, message in cases:
+        assert main(fixture_argv(name, options)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err == f"error: fixture {name} {message}\n", options
+
+
+def test_fixture_options_name_every_missing_one(capsys):
+    assert main(["fixture", "mms_not_gmms", "--n", "5"]) == 2
+    assert capsys.readouterr().err == "error: fixture mms_not_gmms needs --value, --eps\n"
+    assert main(["fixture", "efl_tight", "--n", "3", "--k", "4", "--eps", "1"]) == 2
+    assert capsys.readouterr().err == "error: fixture efl_tight does not take --k, --eps\n"
+
+
+def test_fixture_options_cover_each_family():
+    # the table the CLI checks against names each family's parameters
+    import inspect
+    from gmms import cli, generator
+    assert set(cli._FIXTURE_OPTIONS) == set(generator.FIXTURES) == set(FIXTURE_RUNS)
+    for name, takes in cli._FIXTURE_OPTIONS.items():
+        params = inspect.signature(generator.FIXTURES[name]).parameters
+        assert sorted(takes.values()) == sorted(params), name
+        assert sorted(f"--{o}" for o in takes) == sorted(FIXTURE_RUNS[name]), name
+
+
+def test_fixture_type_error_is_not_a_usage_error(monkeypatch):
+    # a fault inside a family surfaces as itself, not as a usage error
+    from gmms import generator
+
+    def broken(n):
+        raise TypeError("inside the family")
+
+    monkeypatch.setitem(generator.FIXTURES, "efl_tight", broken)
+    with pytest.raises(TypeError, match="inside the family"):
+        main(["fixture", "efl_tight", "--n", "3"])
+
+
 @pytest.mark.parametrize("option", ["--allocation-out", "--policy-out"])
 def test_fixture_unwritable_side_file_exits_usage(tmp_path, capsys, option):
     # the side files are written before the instance is printed

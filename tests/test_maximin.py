@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import pickle
@@ -454,13 +455,14 @@ def waterfill_ok(sums, level, remaining):
     return sum(level - s for s in sums if s < level) <= remaining
 
 
-def recursive_best_partition(vals, k, floor=-1, goal=None):
+def recursive_best_partition(vals, k, floor=-1, goal=None, raises=None):
     """Independent oracle: the share kernel as a recursive search, with a
     restricted-growth bound and a per-node set of tried sums, and no closed
     form: every pool with at least k values is searched. Returns the result
     and the number of placements, each tested once against the bound. The
     explicit stack in maximin._best_partition must agree with it on value
-    and witness."""
+    and witness. A `raises` list gets the min of each improving leaf that
+    stays below the goal, so the search goes on with a raised bound."""
     p = len(vals)
     if p < k:
         return ((0, list(range(p))) if floor < 0 else (floor, None)), 0
@@ -489,6 +491,8 @@ def recursive_best_partition(vals, k, floor=-1, goal=None):
             m = min(sums)
             if m > best:
                 best, best_assign = m, assign[:]
+                if raises is not None and best < goal:
+                    raises.append(best)
             return best >= goal
         limit = min(used + 1, k)
         tried = set()
@@ -556,6 +560,76 @@ def test_best_partition_matches_recursive_oracle(placements):
             assert results[1] == results[0], (vals, k, floor)
     assert total > 100_000
     assert below > 500
+
+
+@functools.cache
+def audit_width_pools():
+    """(args, expected, searched, raises) for 60 seeded pools with 7 or 8
+    parts, as a (7, 11) audit instance pools, and 10 to 14 values, each in
+    the four forms of the narrower sweep; `raises` as in the oracle. Every
+    pool is searched. The seed gives improving leaves below the goal (25)
+    and bins that stay below the bound or cross it, at a small cost."""
+    rng = random.Random(2025)
+    pools = []
+    for case in range(60):
+        k = rng.randrange(7, 9)
+        p = rng.randrange(k + 3, 15)
+        kind = case % 3
+        if kind == 0:
+            vals = [rng.randrange(1, 10 ** 6) for _ in range(p)]
+        elif kind == 1:
+            vals = [rng.randrange(1, 6) for _ in range(p)]
+        else:
+            step = rng.randrange(2, 9)
+            vals = [step * rng.randrange(1, 20) for _ in range(p)]
+        vals.sort(reverse=True)
+        cap = sum(vals) // k
+        floor = rng.randrange(-1, cap + 2)
+        goal = rng.randrange(floor + 1, cap + 3)
+        for args in ((vals, k), (vals, k, floor), (vals, k, floor, floor + 1),
+                     (vals, k, floor, goal)):
+            raises = []
+            expected, searched = recursive_best_partition(*args, raises=raises)
+            pools.append((args, expected, searched, raises))
+    return pools
+
+
+def test_best_partition_matches_recursive_oracle_at_audit_widths(placements):
+    from gmms import maximin
+    total = 0
+    for args, expected, searched, _ in audit_width_pools():
+        found, placed = placements(lambda: maximin._best_partition(*args))
+        assert found == expected, args
+        assert placed == searched, args
+        total += searched
+    assert total > 50_000
+
+
+def test_deficit_recomputes_pinned(levels):
+    # the kernel keeps its water-filling deficit as a running sum, and sums
+    # it afresh only when an improving leaf short of the goal raises the
+    # bound: 25 times over the sweep, against 85,654 placements; a walk of
+    # the bins at each placement would run once per placement
+    from gmms import maximin
+    pools = audit_width_pools()
+    _, recomputes = levels(lambda: [maximin._best_partition(*args)
+                                    for args, _, _, _ in pools])
+    assert recomputes == sum(len(raises) for _, _, _, raises in pools) == 25
+    assert sum(searched for _, _, searched, _ in pools) == 85_654
+
+
+def test_best_partition_at_the_wall_size():
+    # the regression point of the m=20, k=4 timings: agent 0's grand bundle
+    # of GenSpec(4, 20, "uniform", False, 0), whose other seeds take seconds
+    from gmms.maximin import _best_partition
+    _, ints, order = generate(GenSpec(4, 20, "uniform", False, 0))._units[0]
+    vals = [ints[g] for g in order]
+    best, assign = _best_partition(vals, 4)
+    assert best == 2_561_321
+    parts = [0] * 4
+    for v, j in zip(vals, assign):
+        parts[j] += v
+    assert min(parts) == best
 
 
 def test_closed_form_pools_match_full_search(placements):
