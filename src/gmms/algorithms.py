@@ -31,9 +31,11 @@ class EnvyGraph:
     def from_allocation(instance: Instance, bundles: Sequence[Bundle]) -> "EnvyGraph":
         # Fraction rows, not the integer view. The allocator builds a graph
         # only at a step with no unenvied agent, to find the cycle to rotate;
-        # its picks walk columns (_first_unenvied). The view would make this
-        # and the picks faster, but the allocate benchmark's peak RSS grows
-        # with its speed, as its runner keeps every outcome (ROADMAP item 1)
+        # its picks walk columns (_first_unenvied), skipping bundles whose
+        # remembered envier still holds, over running own values. The view
+        # would make this and the picks faster, but the allocate benchmark's
+        # peak RSS grows with its speed, as its runner keeps every outcome
+        # (ROADMAP item 1)
         rows = instance.valuations
         envied = _envied(rows, bundles, _own_values(rows, bundles))
         return EnvyGraph(instance.num_agents, frozenset((i, j) for i, j, _ in envied))
@@ -144,20 +146,25 @@ class TieBreakPolicy:
         return seq[step]
 
 
-def _first_unenvied(rows, bundles, own, agents) -> Optional[int]:
+def _first_unenvied(rows, bundles, own, agents, envier) -> Optional[int]:
     """The first j in `agents` that no other agent i values strictly above
     own[i], or None. Column-major: bundle j is summed under each other row
     in index order, and its column stops at the first agent who envies it,
-    so a pick sums only the columns up to the first unenvied one. The
+    so a pick sums only the columns up to the first unenvied one. envier[j]
+    remembers that agent, and a column whose envier is still set is skipped
+    unsummed; the caller clears an entry once it may no longer hold. The
     checkers walk agent-major (_envied), as their first witness is the
     first envious agent's."""
     for j in agents:
+        if envier[j] is not None:
+            continue
         bundle = bundles[j]
         for i, row in enumerate(rows):
             if i == j:
                 continue
             value = sum(map(row.__getitem__, bundle))  # [pair sum]
             if own[i] < value:
+                envier[j] = i
                 break
         else:
             return j
@@ -177,15 +184,25 @@ def efl_allocate(instance: Instance, policy: Optional[TieBreakPolicy] = None,
     lowest-index unenvied agent, so it walks the columns of the envy
     matrix (_first_unenvied) and builds the envy graph only when no agent
     is unenvied, to find the cycle to rotate.
+
+    The loop keeps what it already knows. Own values are running sums,
+    summed afresh only after a rotation. Each bundle remembers the first
+    envier its column walk found, and the walk skips a bundle whose envier
+    is set. Between rotations an agent's own value changes only when she
+    picks, and a bundle only grows, so an envier stops being one only by
+    picking: a pick clears the entries that name the picker, and a
+    rotation clears them all. ``debug`` checks the last-good envy bound
+    and then every remembered envier at each step.
     """
     n, m = instance.num_agents, instance.num_goods
     rows = instance.valuations
     bundles: List[Bundle] = [frozenset()] * n
     last_good: List[Optional[int]] = [None] * n
+    envier: List[Optional[int]] = [None] * n  # bundle j's remembered envier
+    own = [0] * n
     remaining = set(range(m))
     for step in range(m):
-        own = _own_values(rows, bundles)
-        agent = _first_unenvied(rows, bundles, own, range(n))
+        agent = _first_unenvied(rows, bundles, own, range(n), envier)
         rotations = 0
         while agent is None:
             cycle = EnvyGraph.from_allocation(instance, bundles).find_cycle()
@@ -194,7 +211,8 @@ def efl_allocate(instance: Instance, policy: Optional[TieBreakPolicy] = None,
             _rotate_cycle(bundles, cycle)
             _rotate_cycle(last_good, cycle)
             own = _own_values(rows, bundles)
-            agent = _first_unenvied(rows, bundles, own, range(n))
+            envier = [None] * n
+            agent = _first_unenvied(rows, bundles, own, range(n), envier)
             rotations += 1
             if rotations > n * n:
                 raise AssertionError("cycle resolution failed to terminate")
@@ -204,7 +222,7 @@ def efl_allocate(instance: Instance, policy: Optional[TieBreakPolicy] = None,
                 if not (_is_json_int(scripted) and 0 <= scripted < n):
                     raise PolicyError(f"step {step}: scripted source "
                                       f"{_quote(scripted)} is not an agent")
-                if _first_unenvied(rows, bundles, own, (scripted,)) is None:
+                if _first_unenvied(rows, bundles, own, (scripted,), envier) is None:
                     raise PolicyError(
                         f"step {step}: scripted source {scripted} is envied")
                 agent = scripted
@@ -222,9 +240,12 @@ def efl_allocate(instance: Instance, policy: Optional[TieBreakPolicy] = None,
                 good = scripted
         bundles[agent] = bundles[agent] | {good}
         last_good[agent] = good
+        own[agent] += row[good]
         remaining.discard(good)
+        envier = [None if i == agent else i for i in envier]
         if debug:
             _assert_ef1_wrt_last(instance, bundles, last_good)
+            _assert_enviers_envy(rows, bundles, envier)
     return Allocation(tuple(bundles))
 
 
@@ -237,6 +258,16 @@ def _assert_ef1_wrt_last(instance, bundles, last_good):
         if own[r] < value - rows[r][last_good[s]]:
             raise AssertionError(
                 f"partial allocation lost the last-good envy bound ({r} vs {s})")
+
+
+def _assert_enviers_envy(rows, bundles, envier):
+    """Loop invariant: every remembered envier still envies her bundle, on
+    sums made afresh."""
+    own = _own_values(rows, bundles)
+    for j, i in enumerate(envier):
+        if i is not None and not own[i] < sum(map(rows[i].__getitem__, bundles[j])):
+            raise AssertionError(
+                f"remembered envier {i} no longer envies bundle {j}")
 
 
 @dataclass(frozen=True)

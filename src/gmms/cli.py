@@ -12,6 +12,7 @@ import csv
 import itertools
 import json
 import os
+import re
 import sys
 import time
 from decimal import Context
@@ -19,8 +20,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import algorithms, fairness, generator, maximin
-from .core import (_json_doc, _quote, as_value, parse_allocation, parse_instance,
-                   serialize_allocation, serialize_instance)
+from .core import (InputError, _json_doc, _quote, as_value, parse_allocation,
+                   parse_instance, serialize_allocation, serialize_instance)
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -169,8 +170,14 @@ def cmd_fixture(args) -> int:
     missing = [f"--{option}" for option in takes if option not in given]
     if missing:
         raise UsageError(f"fixture {args.name} needs {', '.join(missing)}")
-    instance, reference = generator.fixture(
-        args.name, **{takes[option]: x for option, x in given.items()})
+    try:
+        instance, reference = generator.fixture(
+            args.name, **{takes[option]: x for option, x in given.items()})
+    except InputError as exc:
+        # the family's message names its parameters; name the options instead
+        options = {param: f"--{option}" for option, param in takes.items()}
+        text = re.sub(r"\w+", lambda word: options.get(word[0], word[0]), str(exc))
+        raise UsageError(f"fixture {args.name}: {text}") from None
     # side files first, so a failed write leaves stdout empty
     if args.allocation_out and reference is not None:
         _save(args.allocation_out, serialize_allocation(reference))
@@ -235,6 +242,9 @@ def cmd_experiment(args) -> int:
         raise UsageError(f"--budget must be >= 0, got {args.budget}")
     cells = [(n, m) for n in range(args.n_min, args.n_max + 1)
              for m in range(args.m_min, args.m_max + 1)]
+    # a fork pool starts all its workers at the first submit, so start no
+    # more than there are jobs or cores
+    workers = min(workers, len(cells) * args.count, os.cpu_count() or 1)
     seeds = itertools.count(args.seed)  # jobs are made only as they are taken
     jobs = ((n, m, args.dist, args.sop, next(seeds), args.budget)
             for n, m in cells for _ in range(args.count))

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -351,31 +352,52 @@ def test_envied_script_error_matches_full_graph_allocator():
 
 
 def test_pick_sums_pinned(pair_sums, monkeypatch):
-    # bundle sums made by the allocator's picks; the full envy graph made
-    # n(n-1) at every pick, 76,000 at (20, 200), and was built at every step
+    # bundle sums made by the allocator's picks, which skip a bundle whose
+    # remembered envier still holds; the full envy graph made n(n-1) at
+    # every pick, 76,000 at (20, 200), and was built at every step
     builds = count_graph_builds(monkeypatch)
     inst = generate(GenSpec(20, 200, "uniform", False, 1))
     _, sums = pair_sums(lambda: efl_allocate(inst))
-    assert sums == 32892 and sums < 200 * 20 * 19 // 2
+    assert sums == 9438 and sums < 200 * 20 * 19 // 2
     assert builds == []  # no step of this run lacks an unenvied agent
     # one grid shape: 420 at the full graph
     _, sums = pair_sums(lambda: [efl_allocate(generate(GenSpec(5, 7, "uniform", False, seed)))
                                  for seed in range(3)])
-    assert sums == 205 and sums < 3 * 7 * 5 * 4 // 2
+    assert sums == 178 and sums < 3 * 7 * 5 * 4 // 2
     assert builds == []
+
+
+def count_own_sums(monkeypatch):
+    """A Counter of _own_values calls in algorithms, keyed by the name of
+    the calling function."""
+    calls, real = Counter(), algorithms._own_values
+
+    def counted(rows, bundles):
+        calls[sys._getframe(1).f_code.co_name] += 1
+        return real(rows, bundles)
+
+    monkeypatch.setattr(algorithms, "_own_values", counted)
+    return calls
 
 
 def test_graph_builds_pinned(monkeypatch):
     # over the benchmark grid's 27 rows (n 3-5 x m 5-7, seeds 0-2), one
     # step has no unenvied agent (n=3, m=7, seed 1, step 5); it builds the
     # envy graph once for each of its 2 rotations, and no other step builds
-    # it (the full-graph allocator built 164: one per step and rotation)
+    # it (the full-graph allocator built 164: one per step and rotation).
+    # The allocator's own values are running sums, summed afresh only
+    # after a rotation
     builds = count_graph_builds(monkeypatch)
+    own_sums = count_own_sums(monkeypatch)
     instances = [generate(GenSpec(n, m, "uniform", False, seed))
                  for n in (3, 4, 5) for m in (5, 6, 7) for seed in range(3)]
     for inst in instances:
         efl_allocate(inst)
     assert len(builds) == 2
+    assert own_sums["efl_allocate"] == len(builds)
+    own_sums.clear()
+    efl_allocate(generate(GenSpec(20, 200, "uniform", False, 1)))
+    assert own_sums == {}
 
 
 def brute_force_gmms_search(inst):
@@ -688,6 +710,16 @@ def test_debug_failure_matches_full_graph_allocator(monkeypatch):
             allocate(inst, debug=True)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
+
+
+def test_debug_checks_remembered_enviers():
+    # agent 1 envies bundle 0 ({0}, worth 3 to her) while she holds {1}
+    # (worth 1), and stops once she holds {1, 2} (worth 4)
+    rows = Instance.from_rows([[3, 1, 1], [3, 1, 3]]).valuations
+    algorithms._assert_enviers_envy(rows, [frozenset({0}), frozenset({1})], [1, None])
+    with pytest.raises(AssertionError, match="remembered envier 1 no longer envies bundle 0"):
+        algorithms._assert_enviers_envy(
+            rows, [frozenset({0}), frozenset({1, 2})], [1, None])
 
 
 def test_debug_invariant_is_checked_under_optimize():

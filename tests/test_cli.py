@@ -203,6 +203,19 @@ def test_fixture_options_name_every_missing_one(capsys):
     assert capsys.readouterr().err == "error: fixture efl_tight does not take --k, --eps\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["mms_not_gmms", "--n", "4", "--value", "1", "--eps", "1"],
+     "need 0 < --eps < --value/2, got --eps=1, --value=1"),
+    (["kwise_boundary", "--k", "3", "--n", "10"], "need --k >= 4, got 3"),
+    (["efl_tight", "--n", "1"], "need --n >= 2, got 1")])
+def test_fixture_family_error_names_the_options(capsys, argv, message):
+    # a family's own refusal exits 2 with one line in the CLI's option names
+    assert main(["fixture", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: fixture {argv[0]}: {message}\n"
+
+
 def test_fixture_options_cover_each_family():
     # the table the CLI checks against names each family's parameters
     import inspect
@@ -398,7 +411,44 @@ def test_experiment_workers_match_serial(monkeypatch, capsys):
 
     serial = run("1")
     assert len(serial) == 2 + 8 + 4  # schema, header, rows, one summary a cell
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool on any machine
     assert run("2") == serial
+
+
+@pytest.mark.parametrize("workers, count, cores, started", [
+    ("8", 1, 8, None),  # one job: no pool
+    ("1000000", 3, 64, 3),  # no more workers than jobs
+    ("1000000", 40, 4, 4),  # no more than cores
+    ("2", 40, 4, 2),
+    ("8", 5, None, None)])  # core count unknown: one, so no pool
+def test_experiment_pool_is_bounded(monkeypatch, capsys, workers, count, cores,
+                                    started):
+    # a fork pool starts all max_workers processes at its first submit; a
+    # recording stand-in runs the map here and starts none
+    import concurrent.futures
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setenv("GMMS_WORKERS", workers)
+    assert main(["experiment", "--n-min", "2", "--n-max", "2", "--m-min", "2",
+                 "--m-max", "2", "--count", str(count)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 + count + 1  # schema, header, rows, one summary
+    assert sizes == ([] if started is None else [started])
 
 
 def test_share_search_deeper_than_recursion_limit(tmp_path, capsys):
