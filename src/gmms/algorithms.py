@@ -29,13 +29,12 @@ class EnvyGraph:
 
     @staticmethod
     def from_allocation(instance: Instance, bundles: Sequence[Bundle]) -> "EnvyGraph":
-        # Fraction rows, not the integer view. The allocator builds a graph
-        # only at a step with no unenvied agent, to find the cycle to rotate;
-        # its picks walk columns (_first_unenvied), skipping bundles whose
-        # remembered envier still holds, over running own values. The view
-        # would make this and the picks faster, but the allocate benchmark's
-        # peak RSS grows with its speed, as its runner keeps every outcome
-        # (ROADMAP item 1)
+        # Fraction rows, not the integer view. The allocator builds no graph:
+        # its picks walk columns (_first_unenvied) and its rotations walk
+        # the rows that their cycle search reaches (_first_cycle). The view
+        # would make those faster, but the allocate benchmark's peak RSS
+        # grows with its speed, as its runner keeps every outcome (ROADMAP
+        # item 1)
         rows = instance.valuations
         envied = _envied(rows, bundles, _own_values(rows, bundles))
         return EnvyGraph(instance.num_agents, frozenset((i, j) for i, j, _ in envied))
@@ -45,32 +44,40 @@ class EnvyGraph:
         return [i for i in range(self.num_agents) if i not in envied]
 
     def find_cycle(self) -> Optional[List[int]]:
-        """First cycle found by depth-first search from agent 0 upward.
-
-        The search keeps its own stack, so its depth is not bounded by the
-        interpreter's recursion limit.
-        """
+        """First cycle found by depth-first search from agent 0 upward."""
         succ = [[] for _ in range(self.num_agents)]
         for i, j in sorted(self.edges):
             succ[i].append(j)
-        color = [0] * self.num_agents  # 0 unseen, 1 on stack, 2 done
-        for start in range(self.num_agents):
-            if color[start]:
-                continue
-            color[start] = 1
-            stack, pending = [start], [iter(succ[start])]
-            while stack:
-                v = next(pending[-1], None)
-                if v is None:
-                    color[stack.pop()] = 2
-                    pending.pop()
-                elif color[v] == 1:
-                    return stack[stack.index(v):]
-                elif color[v] == 0:
-                    color[v] = 1
-                    stack.append(v)
-                    pending.append(iter(succ[v]))
-        return None
+        return _first_cycle(self.num_agents, lambda v: iter(succ[v]))
+
+
+def _first_cycle(n: int, successors) -> Optional[List[int]]:
+    """First cycle, as a list of vertices each with an edge to the next and
+    the last to the first, found by depth-first search from vertex 0
+    upward; successors(v) iterates v's out-neighbours in ascending order.
+    The search takes one neighbour at a time, so a lazy iterator is asked
+    for no neighbour past the one that closes the cycle, and the last
+    neighbour each vertex on the cycle gave is its successor there. The
+    search keeps its own stack, so its depth is not bounded by the
+    interpreter's recursion limit."""
+    color = [0] * n  # 0 unseen, 1 on stack, 2 done
+    for start in range(n):
+        if color[start]:
+            continue
+        color[start] = 1
+        stack, pending = [start], [successors(start)]
+        while stack:
+            v = next(pending[-1], None)
+            if v is None:
+                color[stack.pop()] = 2
+                pending.pop()
+            elif color[v] == 1:
+                return stack[stack.index(v):]
+            elif color[v] == 0:
+                color[v] = 1
+                stack.append(v)
+                pending.append(successors(v))
+    return None
 
 
 def build_envy_graph(instance: Instance, allocation: Allocation) -> EnvyGraph:
@@ -182,35 +189,53 @@ def efl_allocate(instance: Instance, policy: Optional[TieBreakPolicy] = None,
     any guarantee, and deferring keeps the algorithm's worst-case traces
     reachable under scripted tie-breaking. A step needs only the
     lowest-index unenvied agent, so it walks the columns of the envy
-    matrix (_first_unenvied) and builds the envy graph only when no agent
-    is unenvied, to find the cycle to rotate.
+    matrix (_first_unenvied). The envy graph is never built: when no agent
+    is unenvied, the cycle to rotate is the envy graph's first cycle, found
+    by the same depth-first search (_first_cycle) over each agent's envied
+    bundles, which are summed only as the search reaches them (_envied).
 
-    The loop keeps what it already knows. Own values are running sums,
-    summed afresh only after a rotation. Each bundle remembers the first
-    envier its column walk found, and the walk skips a bundle whose envier
-    is set. Between rotations an agent's own value changes only when she
-    picks, and a bundle only grows, so an envier stops being one only by
-    picking: a pick clears the entries that name the picker, and a
-    rotation clears them all. ``debug`` checks the last-good envy bound
-    and then every remembered envier at each step.
+    The loop keeps what it already knows. Own values are running sums: a
+    pick adds its good, and a rotation gives each agent on the cycle the
+    value the search summed for the bundle she takes. Each bundle
+    remembers the first envier its column walk found, and the walk skips a
+    bundle whose envier is set. Between rotations an agent's own value
+    changes only when she picks, and a bundle only grows, so an envier
+    stops being one only by picking: a pick clears the entries that name
+    the picker, and a rotation clears them all. Each agent's good comes
+    from a cursor over her preference order (the view's ``order``: the
+    positive goods by descending value, lowest index on ties), which skips
+    the goods already taken; once she values no remaining good, she takes
+    the lowest-index one. ``debug`` checks the last-good envy bound, the
+    running own values and every remembered envier at each step, on sums
+    made afresh.
     """
     n, m = instance.num_agents, instance.num_goods
     rows = instance.valuations
+    orders = [order for _, _, order in instance._units]
     bundles: List[Bundle] = [frozenset()] * n
     last_good: List[Optional[int]] = [None] * n
     envier: List[Optional[int]] = [None] * n  # bundle j's remembered envier
     own = [0] * n
+    cursor = [0] * n  # each agent's place in her preference order
     remaining = set(range(m))
+    gain = [0] * n  # agent i's value of the last bundle envied_by(i) gave
+
+    def envied_by(i):
+        for _, j, value in _envied(rows, bundles, own, (i,)):
+            gain[i] = value
+            yield j
+
     for step in range(m):
         agent = _first_unenvied(rows, bundles, own, range(n), envier)
         rotations = 0
         while agent is None:
-            cycle = EnvyGraph.from_allocation(instance, bundles).find_cycle()
+            cycle = _first_cycle(n, envied_by)
             if cycle is None:
                 raise AssertionError("sourceless envy graph must contain a cycle")
             _rotate_cycle(bundles, cycle)
             _rotate_cycle(last_good, cycle)
-            own = _own_values(rows, bundles)
+            for i in cycle:
+                own[i] = gain[i]
             envier = [None] * n
             agent = _first_unenvied(rows, bundles, own, range(n), envier)
             rotations += 1
@@ -226,14 +251,16 @@ def efl_allocate(instance: Instance, policy: Optional[TieBreakPolicy] = None,
                     raise PolicyError(
                         f"step {step}: scripted source {scripted} is envied")
                 agent = scripted
-        row = rows[agent]
-        top = max(row[g] for g in remaining)
-        good = min(g for g in remaining if row[g] == top)
+        row, order, at = rows[agent], orders[agent], cursor[agent]
+        while at < len(order) and order[at] not in remaining:
+            at += 1
+        cursor[agent] = at
+        good = order[at] if at < len(order) else min(remaining)
         if policy is not None:
             scripted = policy.pick("goods", step)
             if scripted is not None:
                 if (not _is_json_int(scripted) or scripted not in remaining
-                        or row[scripted] != top):
+                        or row[scripted] != row[good]):
                     raise PolicyError(
                         f"step {step}: scripted good {scripted} is not a "
                         f"highest-valued remaining good for agent {agent}")
@@ -245,7 +272,7 @@ def efl_allocate(instance: Instance, policy: Optional[TieBreakPolicy] = None,
         envier = [None if i == agent else i for i in envier]
         if debug:
             _assert_ef1_wrt_last(instance, bundles, last_good)
-            _assert_enviers_envy(rows, bundles, envier)
+            _assert_enviers_envy(rows, bundles, own, envier)
     return Allocation(tuple(bundles))
 
 
@@ -260,12 +287,17 @@ def _assert_ef1_wrt_last(instance, bundles, last_good):
                 f"partial allocation lost the last-good envy bound ({r} vs {s})")
 
 
-def _assert_enviers_envy(rows, bundles, envier):
-    """Loop invariant: every remembered envier still envies her bundle, on
-    sums made afresh."""
-    own = _own_values(rows, bundles)
+def _assert_enviers_envy(rows, bundles, own, envier):
+    """Loop invariants, on sums made afresh: every running own value is
+    its bundle's value, and every remembered envier still envies her
+    bundle."""
+    fresh = _own_values(rows, bundles)
+    for i, (kept, value) in enumerate(zip(own, fresh)):
+        if kept != value:
+            raise AssertionError(
+                f"running own value {kept} of agent {i} is not her bundle's {value}")
     for j, i in enumerate(envier):
-        if i is not None and not own[i] < sum(map(rows[i].__getitem__, bundles[j])):
+        if i is not None and not fresh[i] < sum(map(rows[i].__getitem__, bundles[j])):
             raise AssertionError(
                 f"remembered envier {i} no longer envies bundle {j}")
 

@@ -2,7 +2,7 @@
 
 Subcommands: solve-efl, check, mms, gmms-threshold, gmms-search, gen,
 fixture, experiment. Exit codes: 0 success / notion holds, 1 notion violated,
-2 usage error, 3 search budget exhausted.
+2 usage error, 3 search budget exhausted, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -263,9 +263,14 @@ def cmd_experiment(args) -> int:
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            while chunk := list(itertools.islice(jobs, _JOB_SLICE)):
-                # rows come back in job order
-                emit(pool.map(experiment_row, *zip(*chunk), chunksize=8))
+            try:
+                while chunk := list(itertools.islice(jobs, _JOB_SLICE)):
+                    # rows come back in job order
+                    emit(pool.map(experiment_row, *zip(*chunk), chunksize=8))
+            except BaseException:
+                # a failed row or a closed stdout: start no more of the slice
+                pool.shutdown(cancel_futures=True)
+                raise
     else:
         emit(itertools.starmap(experiment_row, jobs))
     # trailing per-cell summaries, recomputable from the rows above
@@ -386,7 +391,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe is met here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped reading (`gmms ... | head`): write nothing more,
+        # and leave the rest of the buffered output to os.devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 128 + 13  # 141, as a process killed by SIGPIPE
     except ValueError as exc:
         # UsageError, InputError, ParseError and PolicyError, and Python's
         # refusal to print an exact value past its int-to-string digit cap

@@ -78,17 +78,18 @@ def _own_values(rows, bundles):
     return [sum(map(row.__getitem__, b)) for row, b in zip(rows, bundles)]
 
 
-def _envied(rows, bundles, own):
+def _envied(rows, bundles, own, agents=None):
     """(i, j, value), agent-major with bundles in order, for each bundle j
     that agent i values strictly above own[i], in the units of rows[i].
     Bundle j is summed only when agent i reaches it, so a check that stops
     at its first violation skips the rest. Every envy notion can fail only
-    on these pairs."""
-    for i, row in enumerate(rows):
-        mine = own[i]
+    on these pairs. ``agents``, when given, walks only their rows, in
+    their order."""
+    for i in range(len(rows)) if agents is None else agents:
+        row, mine = rows[i], own[i]
         for j, bundle in enumerate(bundles):
             if j != i:
-                value = sum(map(row.__getitem__, bundle))
+                value = sum(map(row.__getitem__, bundle))  # [envied sum]
                 if mine < value:
                     yield i, j, value
 

@@ -6,7 +6,9 @@ kernel ``maximin._best_partition`` marks the line that records a placement
 (LEVEL_MARKER); the group walker ``maximin._beating_groups`` marks the
 line that extends a prefix of co-members (EXTENSION_MARKER); the
 allocator's pick ``algorithms._first_unenvied`` marks the line that sums
-one bundle under one agent's row (PAIR_SUM_MARKER)."""
+one bundle under one agent's row (PAIR_SUM_MARKER); the envied-pair walk
+``fairness._envied`` marks the same sum in its own walk (ENVIED_SUM_MARKER),
+which the allocator's rotations reach through their cycle search."""
 
 import functools
 import inspect
@@ -14,12 +16,13 @@ import sys
 
 import pytest
 
-from gmms import algorithms, maximin
+from gmms import algorithms, fairness, maximin
 
 PLACEMENT_MARKER = "# [placement]"
 LEVEL_MARKER = "# [level]"
 EXTENSION_MARKER = "# [extension]"
 PAIR_SUM_MARKER = "# [pair sum]"
+ENVIED_SUM_MARKER = "# [envied sum]"
 
 
 @functools.cache
@@ -80,6 +83,12 @@ def count_pair_sums(call):
     return count_marked(algorithms._first_unenvied, PAIR_SUM_MARKER, call)
 
 
+def count_envied_sums(call):
+    """call()'s result and the number of bundle sums the envied-pair walk
+    made during it: executions of its one marked line."""
+    return count_marked(fairness._envied, ENVIED_SUM_MARKER, call)
+
+
 @pytest.fixture
 def placements():
     """count_placements: call() -> (result, placements)."""
@@ -102,6 +111,12 @@ def extensions():
 def pair_sums():
     """count_pair_sums: call() -> (result, pair sums)."""
     return count_pair_sums
+
+
+@pytest.fixture
+def envied_sums():
+    """count_envied_sums: call() -> (result, envied-pair walk sums)."""
+    return count_envied_sums
 
 
 @pytest.fixture

@@ -282,19 +282,36 @@ def count_graph_builds(monkeypatch):
     return builds
 
 
+def count_calls(monkeypatch, name):
+    """A Counter of calls to algorithms.<name>, keyed by the name of the
+    calling function."""
+    calls, real = Counter(), getattr(algorithms, name)
+
+    def counted(*args):
+        calls[sys._getframe(1).f_code.co_name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(algorithms, name, counted)
+    return calls
+
+
 def test_efl_matches_full_graph_allocator(monkeypatch):
-    # same allocations, debug runs included, and a graph is built only for
-    # each rotation, at a step with no unenvied agent
+    # same allocations, debug runs included; the allocator builds no graph,
+    # and searches for a cycle only for each rotation, at a step with no
+    # unenvied agent
     builds = count_graph_builds(monkeypatch)
+    searches = count_calls(monkeypatch, "_first_cycle")
     rng = random.Random(71)
     swept = rotations = 0
     for inst, small in efl_sweep_instances(rng):
         log = []
         expected = efl_outcome(full_graph_efl_allocate, inst, debug=small, log=log)
         del builds[:]
+        searches.clear()
         assert efl_outcome(efl_allocate, inst, debug=small) == expected
-        assert len(builds) == sum(r for _, r in log)
-        rotations += len(builds)
+        assert builds == []
+        assert searches == Counter(efl_allocate=sum(r for _, r in log))
+        rotations += searches["efl_allocate"]
         swept += 1
     assert swept == 8 * 31 * 3
     assert rotations > 0
@@ -367,37 +384,36 @@ def test_pick_sums_pinned(pair_sums, monkeypatch):
     assert builds == []
 
 
-def count_own_sums(monkeypatch):
-    """A Counter of _own_values calls in algorithms, keyed by the name of
-    the calling function."""
-    calls, real = Counter(), algorithms._own_values
-
-    def counted(rows, bundles):
-        calls[sys._getframe(1).f_code.co_name] += 1
-        return real(rows, bundles)
-
-    monkeypatch.setattr(algorithms, "_own_values", counted)
-    return calls
-
-
 def test_graph_builds_pinned(monkeypatch):
     # over the benchmark grid's 27 rows (n 3-5 x m 5-7, seeds 0-2), one
-    # step has no unenvied agent (n=3, m=7, seed 1, step 5); it builds the
-    # envy graph once for each of its 2 rotations, and no other step builds
-    # it (the full-graph allocator built 164: one per step and rotation).
-    # The allocator's own values are running sums, summed afresh only
-    # after a rotation
+    # step has no unenvied agent (n=3, m=7, seed 1, step 5); it searches
+    # for a cycle once for each of its 2 rotations, and no other step
+    # searches (the full-graph allocator built the graph 164 times: once
+    # per step and rotation). The allocator builds no graph, and its own
+    # values are running sums, never summed afresh
     builds = count_graph_builds(monkeypatch)
-    own_sums = count_own_sums(monkeypatch)
+    searches = count_calls(monkeypatch, "_first_cycle")
+    own_sums = count_calls(monkeypatch, "_own_values")
     instances = [generate(GenSpec(n, m, "uniform", False, seed))
                  for n in (3, 4, 5) for m in (5, 6, 7) for seed in range(3)]
     for inst in instances:
         efl_allocate(inst)
-    assert len(builds) == 2
-    assert own_sums["efl_allocate"] == len(builds)
-    own_sums.clear()
+    assert builds == []
+    assert searches == {"efl_allocate": 2}
+    assert own_sums == {}
     efl_allocate(generate(GenSpec(20, 200, "uniform", False, 1)))
     assert own_sums == {}
+
+
+def test_rotation_sums_pinned(envied_sums, monkeypatch):
+    # a rotation's cycle search sums a bundle only when it reaches it; the
+    # full envy graph summed n(n-1) = 380 for each of this run's 34
+    # rotations, 12,920 in all
+    searches = count_calls(monkeypatch, "_first_cycle")
+    inst = generate(GenSpec(20, 200, "gaussian", True, 1))
+    _, sums = envied_sums(lambda: efl_allocate(inst))
+    assert searches == {"efl_allocate": 34}
+    assert sums == 6327 and sums < 34 * 20 * 19
 
 
 def brute_force_gmms_search(inst):
@@ -716,10 +732,22 @@ def test_debug_checks_remembered_enviers():
     # agent 1 envies bundle 0 ({0}, worth 3 to her) while she holds {1}
     # (worth 1), and stops once she holds {1, 2} (worth 4)
     rows = Instance.from_rows([[3, 1, 1], [3, 1, 3]]).valuations
-    algorithms._assert_enviers_envy(rows, [frozenset({0}), frozenset({1})], [1, None])
+    algorithms._assert_enviers_envy(
+        rows, [frozenset({0}), frozenset({1})], [3, 1], [1, None])
     with pytest.raises(AssertionError, match="remembered envier 1 no longer envies bundle 0"):
         algorithms._assert_enviers_envy(
-            rows, [frozenset({0}), frozenset({1, 2})], [1, None])
+            rows, [frozenset({0}), frozenset({1, 2})], [3, 4], [1, None])
+
+
+def test_debug_checks_running_own_values():
+    # agent 1 holds {1, 2} (worth 4 to her); a running own value left at
+    # 1, as before her last pick, fails the check before the enviers do
+    rows = Instance.from_rows([[3, 1, 1], [3, 1, 3]]).valuations
+    bundles = [frozenset({0}), frozenset({1, 2})]
+    algorithms._assert_enviers_envy(rows, bundles, [3, 4], [None, None])
+    with pytest.raises(AssertionError,
+                       match="running own value 1 of agent 1 is not her bundle's 4"):
+        algorithms._assert_enviers_envy(rows, bundles, [3, 1], [1, None])
 
 
 def test_debug_invariant_is_checked_under_optimize():

@@ -653,3 +653,35 @@ def test_python_dash_m_runs_the_cli(capsys):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == expected
+
+
+EXPERIMENT_ROWS = ["experiment", "--n-min", "1", "--n-max", "1", "--m-min", "0",
+                   "--m-max", "1", "--count", "100000"]
+
+
+@pytest.mark.parametrize("argv, workers", [
+    (["gen", "--agents", "20", "--goods", "2000"], "1"),  # one line
+    (EXPERIMENT_ROWS, "1"),  # rows in the main process
+    (EXPERIMENT_ROWS, "2")])  # rows in a pool of two workers
+def test_closed_stdout_exits_quietly(argv, workers):
+    # a reader that stops early (`gmms ... | head -c 10`) ends the run with
+    # 141, as SIGPIPE would, and no traceback. Both outputs are far larger
+    # than a pipe holds, so the run meets the closed pipe. Every worker
+    # holds the same stderr pipe, so its end of file means none is left
+    # running
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, GMMS_WORKERS=workers, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = ("import os, sys\n"
+              "os.cpu_count = lambda: 2  # a pool on any machine\n"
+              "from gmms.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    proc = subprocess.Popen([sys.executable, "-c", script, *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err.decode()) == (141, "")

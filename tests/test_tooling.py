@@ -4,7 +4,8 @@ free of recursion and its checks free of assert statements, it decodes JSON
 in one place, it scales valuation rows in one place, into one view of
 tuples per instance, it reaches the share kernel, the group loop, the
 LPT seed and the EFX test each through its own doors, it walks envied
-pairs in one place and the allocator's pick in another, and the share
+pairs in one place and the allocator's pick in another, it searches for
+an envy cycle in one place, and the share
 kernel's search loop makes no call into its own module."""
 
 import ast
@@ -352,19 +353,30 @@ def test_pair_walks_are_detected():
 
 def test_envied_pairs_have_one_walk():
     # every envy check (EF, EF1, EFX, EFL, the envy graph, the allocator's
-    # loop invariant and the search's EFX prefilter) reads its envied pairs
-    # from _envied, the package's only loop over bundles inside a loop. The
-    # allocator's pick is the one column-major walk (_first_unenvied): the
-    # checkers' first witness is fixed by the agent-major order, and the
-    # pick's early stop by the column-major one, so the two cannot share
+    # cycle search and loop invariant, and the search's EFX prefilter)
+    # reads its envied pairs from _envied, the package's only loop over
+    # bundles inside a loop. The allocator's pick is the one column-major
+    # walk (_first_unenvied): the checkers' first witness is fixed by the
+    # agent-major order, and the pick's early stop by the column-major one,
+    # so the two cannot share
     walks = [(path.name, fn) for path in sorted(PACKAGE.glob("*.py"))
              for fn, _ in pair_walks(ast.parse(path.read_text(encoding="utf-8")))]
     assert walks == [("fairness.py", "_envied")]
     assert package_users("_envied") == [("algorithms.py", None),
                                         ("algorithms.py", "from_allocation"),
+                                        ("algorithms.py", "envied_by"),
                                         ("algorithms.py", "_assert_ef1_wrt_last"),
                                         ("algorithms.py", "leaf_passes"),
                                         ("fairness.py", "_pair_violation")]
+
+
+def test_cycle_search_has_two_users():
+    # one depth-first cycle search serves the envy graph and the
+    # allocator's rotations, which walk envied bundles lazily in its place;
+    # the allocator never builds the graph
+    assert package_users("_first_cycle") == [("algorithms.py", "find_cycle"),
+                                             ("algorithms.py", "efl_allocate")]
+    assert ("algorithms.py", "efl_allocate") not in package_users("EnvyGraph")
 
 
 def test_rows_are_scaled_only_by_the_view():
