@@ -29,13 +29,13 @@ class EnvyGraph:
 
     @staticmethod
     def from_allocation(instance: Instance, bundles: Sequence[Bundle]) -> "EnvyGraph":
-        # Fraction rows, not the integer view. The allocator builds no graph:
-        # its picks walk columns (_first_unenvied) and its rotations walk
-        # the rows that their cycle search reaches (_first_cycle). The view
-        # would make those faster, but the allocate benchmark's peak RSS
-        # grows with its speed, as its runner keeps every outcome (ROADMAP
-        # item 1)
-        rows = instance.valuations
+        """The envy graph of `bundles`, which must be an allocation of
+        `instance` (else InputError, as from Allocation.validate): the one
+        checked entry of the envy-graph family. Its sums read the integer
+        view, where each agent's row is scaled by her own D > 0, so each
+        of her comparisons, and hence every edge, is the one on Fractions."""
+        Allocation(tuple(bundles)).validate(instance)
+        rows = [ints for _, ints, _ in instance._units]
         envied = _envied(rows, bundles, _own_values(rows, bundles))
         return EnvyGraph(instance.num_agents, frozenset((i, j) for i, j, _ in envied))
 
@@ -81,7 +81,6 @@ def _first_cycle(n: int, successors) -> Optional[List[int]]:
 
 
 def build_envy_graph(instance: Instance, allocation: Allocation) -> EnvyGraph:
-    allocation.validate(instance)
     return EnvyGraph.from_allocation(instance, allocation.bundles)
 
 
@@ -99,8 +98,9 @@ def resolve_envy_cycles(instance: Instance, allocation: Allocation) -> Allocatio
     """Rotate bundles along envy cycles until the envy graph is acyclic.
 
     Per-agent values never decrease, and the bundle multiset is preserved.
+    Each round's graph is built, and the allocation checked, by
+    EnvyGraph.from_allocation.
     """
-    allocation.validate(instance)
     bundles = list(allocation.bundles)
     while True:
         graph = EnvyGraph.from_allocation(instance, bundles)
@@ -278,8 +278,9 @@ def efl_allocate(instance: Instance, policy: Optional[TieBreakPolicy] = None,
 
 def _assert_ef1_wrt_last(instance, bundles, last_good):
     """Loop invariant: dropping the most recent good of any envied bundle
-    kills the envy (an envied bundle is never empty)."""
-    rows = instance.valuations
+    kills the envy (an envied bundle is never empty). On the integer
+    view: both sides of each test are in the envious agent's units."""
+    rows = [ints for _, ints, _ in instance._units]
     own = _own_values(rows, bundles)
     for r, s, value in _envied(rows, bundles, own):
         if own[r] < value - rows[r][last_good[s]]:
@@ -434,20 +435,23 @@ def lexmax_allocation(instance: Instance, budget: Optional[int] = None) -> Alloc
     """For identical valuations: the allocation whose sorted value vector
     dominates every other's. Agents are interchangeable here, so enumeration
     uses canonical (restricted-growth) assignments only. Reaching ``budget``
-    enumerated assignments raises BudgetError.
+    enumerated assignments raises BudgetError. Sums run on the integer
+    view: rows are identical exactly when their (D, ints, order) entries
+    are, and scaling every sum by the one D > 0 keeps the key order.
     """
     n, m = instance.num_agents, instance.num_goods
+    units = instance._units
     for i in range(1, n):
-        if instance.valuations[i] != instance.valuations[0]:
+        if units[i] != units[0]:
             raise InputError("lexmax allocation requires identical valuation rows")
     if budget is not None:
         _check_int("budget", budget, 0)
-    row = instance.valuations[0]
+    row = units[0][1]
     best_key = best_assign = None
     for leaves, assign in enumerate(_restricted_growth(m, n)):
         if budget is not None and leaves >= budget:
             raise BudgetError(f"enumeration budget {budget} exhausted")
-        sums = [Fraction(0)] * n
+        sums = [0] * n
         for g, j in enumerate(assign):
             sums[j] += row[g]
         key = tuple(sorted(sums))

@@ -100,11 +100,11 @@ def cmd_check(args) -> int:
     notion = args.notion.upper()
     if notion != "KWISE" and args.k is not None:
         raise UsageError("--k only applies to --notion kwise")
+    if notion == "KWISE" and args.k is None:
+        raise UsageError("--notion kwise requires --k")
     instance = _load(args.instance, parse_instance)
     allocation = _load(args.allocation, parse_allocation, instance)
     if notion == "KWISE":
-        if args.k is None:
-            raise UsageError("--notion kwise requires --k")
         report = fairness.is_kwise_fair(instance, allocation, args.k)
     else:
         report = fairness.CHECKERS[fairness.Notion(notion)](instance, allocation)

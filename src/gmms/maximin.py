@@ -91,15 +91,17 @@ def _best_partition(vals, k, floor=-1, goal=None):
     With k = 1 or p <= k + 2 the LPT seed is optimal, so those pools return
     it, or (floor, None), with no search: the pair the search would return,
     as it never strictly improves an optimal seed. One part holds the total;
-    with p = k each value stands alone. With k < p <= k + 2 no bin of some
-    optimum is empty, so each bin holds one value but for one pair
-    (p = k + 1), or one triple or two pairs (p = k + 2). Exchanging values
-    puts the largest alone, and pairs the four smallest a >= b >= c >= d as
-    a + d and b + c. LPT places the k largest alone, c with b, and then d
-    on the least bin: with a when a <= b + c, building the pairs, whose min
-    is at least a, the triple's min; else into the triple, whose min,
-    min(a, b + c + d), exceeds the pairs' b + c. At p = k + 3 LPT can miss:
-    [3, 3, 2, 2, 2] with k = 2 has optimum 6 and seed 5.
+    with p <= k each value stands alone, as LPT puts value t in the empty
+    bin t, so with p < k its assignment is list(range(p)) and its min 0.
+    With k < p <= k + 2 no bin of some optimum is empty, so each bin holds
+    one value but for one pair (p = k + 1), or one triple or two pairs
+    (p = k + 2). Exchanging values puts the largest alone, and pairs the
+    four smallest a >= b >= c >= d as a + d and b + c. LPT places the k
+    largest alone, c with b, and then d on the least bin: with a when
+    a <= b + c, building the pairs, whose min is at least a, the triple's
+    min; else into the triple, whose min, min(a, b + c + d), exceeds the
+    pairs' b + c. At p = k + 3 LPT can miss: [3, 3, 2, 2, 2] with k = 2 has
+    optimum 6 and seed 5.
 
     Otherwise one loop over an explicit stack, so no recursion limit bounds
     p; skipping each bin whose sum an earlier bin shares kills bundle
@@ -115,8 +117,6 @@ def _best_partition(vals, k, floor=-1, goal=None):
     optimal leaf in search order, whatever the floor.
     """
     p = len(vals)
-    if p < k:
-        return (0, list(range(p))) if floor < 0 else (floor, None)
     if k == 1 or p <= k + 2:
         best, assign = _lpt_seed(vals, k)
         return (floor, None) if best <= floor else (best, assign)

@@ -22,8 +22,9 @@ from gmms.generator import (GenSpec, efl_tight, efl_tight_policy, generate,
                             mms_not_ef1)
 
 
-def random_allocation(rng, n, m):
-    vec = [rng.randrange(n) for _ in range(m)]
+def random_allocation(rng, n, m, low=0):
+    """Each good to a random agent; with low=-1, some goods to none."""
+    vec = [rng.randrange(low, n) for _ in range(m)]
     return Allocation.from_lists(
         [[g for g, a in enumerate(vec) if a == i] for i in range(n)])
 
@@ -40,6 +41,27 @@ def test_envy_graph_no_edges_when_happy():
     graph = build_envy_graph(inst, Allocation.from_lists([[0], [1]]))
     assert graph.edges == frozenset()
     assert sorted(graph.sources()) == [0, 1]
+
+
+@pytest.mark.parametrize("lists", [
+    [[0]],  # one bundle short
+    [[0], [1], []],  # one bundle too many
+    [[0], [2]],  # good 2 is past the last good
+    [[True], [0]],  # a bool is no good index, though True == 1
+])
+def test_envy_graph_family_checks_the_allocation(lists):
+    # from_allocation is the family's one checked entry: each entry point
+    # refuses what Allocation.validate refuses, with its message
+    inst = Instance.from_rows([[2, 1], [1, 2]])
+    alloc = Allocation.from_lists(lists)
+    with pytest.raises(InputError) as expected:
+        alloc.validate(inst)
+    for call in (lambda: EnvyGraph.from_allocation(inst, alloc.bundles),
+                 lambda: build_envy_graph(inst, alloc),
+                 lambda: resolve_envy_cycles(inst, alloc)):
+        with pytest.raises(InputError) as caught:
+            call()
+        assert str(caught.value) == str(expected.value)
 
 
 def test_resolve_two_cycle_swap():
@@ -368,6 +390,54 @@ def test_envied_script_error_matches_full_graph_allocator():
     assert efl_outcome(efl_allocate, inst, policy=policy) == text
 
 
+def fraction_envy_edges(instance, bundles):
+    """The envy graph's edges by a plain loop over the exact Fraction rows,
+    apart from the integer view that the package's sums read."""
+    n = instance.num_agents
+    worth = [[sum((row[g] for g in b), Fraction(0)) for b in bundles]
+             for row in instance.valuations]
+    return frozenset((i, j) for i in range(n) for j in range(n)
+                     if worth[i][i] < worth[i][j])
+
+
+def fraction_resolve(instance, bundles):
+    """resolve_envy_cycles on Fraction-row edges and the recursive cycle
+    search: each round gives every agent on the first cycle the bundle of
+    the agent after her."""
+    n, bundles = instance.num_agents, list(bundles)
+    while True:
+        cycle = recursive_find_cycle(EnvyGraph(n, fraction_envy_edges(instance, bundles)))
+        if cycle is None:
+            return Allocation(tuple(bundles))
+        taken = [bundles[cycle[(a + 1) % len(cycle)]] for a in range(len(cycle))]
+        for agent, bundle in zip(cycle, taken):
+            bundles[agent] = bundle
+
+
+def test_envy_graph_matches_fraction_rows():
+    # the envy graph sums the integer view; on partial and complete
+    # allocations, a plain loop over the Fraction rows gives the same
+    # edges, sources, first cycle and cycle resolution
+    rng = random.Random(79)
+    checked = cycles = 0
+    for inst, _ in efl_sweep_instances(rng):
+        n, m = inst.num_agents, inst.num_goods
+        for low in (-1, 0):
+            alloc = random_allocation(rng, n, m, low)
+            graph = build_envy_graph(inst, alloc)
+            edges = fraction_envy_edges(inst, alloc.bundles)
+            assert graph.edges == edges
+            assert graph.sources() == [j for j in range(n)
+                                       if all((i, j) not in edges for i in range(n))]
+            expected = recursive_find_cycle(EnvyGraph(n, edges))
+            assert graph.find_cycle() == expected
+            assert resolve_envy_cycles(inst, alloc) == fraction_resolve(inst, alloc.bundles)
+            checked += 1
+            cycles += expected is not None
+    assert checked == 8 * 31 * 3 * 2
+    assert cycles > 400
+
+
 def test_pick_sums_pinned(pair_sums, monkeypatch):
     # bundle sums made by the allocator's picks, which skip a bundle whose
     # remembered envier still holds; the full envy graph made n(n-1) at
@@ -660,6 +730,16 @@ def test_lexmax_requires_identical_rows():
     inst = Instance.from_rows([[1, 2], [2, 1]])
     with pytest.raises(InputError):
         lexmax_allocation(inst)
+
+
+def test_lexmax_rows_compare_as_values():
+    # [1, 2] and [1/2, 1] share their integer row under different D, so
+    # they are not identical; identical rows with D > 1 run as any other
+    with pytest.raises(InputError, match="identical valuation rows"):
+        lexmax_allocation(Instance.from_rows([[1, 2], [Fraction(1, 2), 1]]))
+    inst = Instance.from_rows([[Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]] * 2)
+    alloc = lexmax_allocation(inst)
+    assert [bundle_value(inst, 0, b) for b in alloc.bundles] == [Fraction(1, 2)] * 2
 
 
 def test_lexmax_budget():

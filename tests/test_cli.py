@@ -57,6 +57,16 @@ def test_check_k_rejected_for_other_notions(sec_paths, capsys, notion):
     assert captured.err.splitlines() == ["error: --k only applies to --notion kwise"]
 
 
+def test_check_kwise_without_k_is_refused_first(tmp_path, capsys):
+    # the usage error comes before any file is read, so a missing file
+    # does not mask it
+    assert main(["check", str(tmp_path / "nope.json"),
+                 str(tmp_path / "nope2.json"), "--notion", "kwise"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --notion kwise requires --k\n"
+
+
 def test_check_missing_file(tmp_path):
     assert main(["check", str(tmp_path / "nope.json"),
                  str(tmp_path / "nope2.json"), "--notion", "ef"]) == 2

@@ -2,11 +2,12 @@
 benchmark tooling names package functions, the package keeps its searches
 free of recursion and its checks free of assert statements, it decodes JSON
 in one place, it scales valuation rows in one place, into one view of
-tuples per instance, it reaches the share kernel, the group loop, the
-LPT seed and the EFX test each through its own doors, it walks envied
-pairs in one place and the allocator's pick in another, it searches for
-an envy cycle in one place, and the share
-kernel's search loop makes no call into its own module."""
+tuples per instance, which every sum outside core reads but the
+allocator's and the naive share oracle's, it reaches the share kernel, the
+group loop, the LPT seed and the EFX test each through its own doors, it
+walks envied pairs in one place and the allocator's pick in another, it
+searches for an envy cycle in one place, and the share kernel's search
+loop makes no call into its own module."""
 
 import ast
 import dataclasses
@@ -126,20 +127,30 @@ def test_json_is_decoded_only_in_core():
     assert offenders == []
 
 
+def enclosing(tree):
+    """A function of a line number: the name of the innermost def around
+    that line, or None at module level."""
+    spans = [(fn.lineno, fn.end_lineno, fn.name) for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+    def name(line):
+        inner = [span for span in spans if span[0] <= line <= span[1]]
+        return max(inner)[2] if inner else None
+    return name
+
+
 def references(tree, name):
     """(function, line) of every use of `name`: as a bare name, an attribute
     or an imported name. `function` is the innermost enclosing def, or None
     at module level."""
-    spans = [(fn.lineno, fn.end_lineno, fn.name) for fn in ast.walk(tree)
-             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    within = enclosing(tree)
     found = []
     for node in ast.walk(tree):
         if (isinstance(node, ast.Name) and node.id == name
                 or isinstance(node, ast.Attribute) and node.attr == name
                 or isinstance(node, ast.ImportFrom)
                 and any(alias.name == name for alias in node.names)):
-            inner = [span for span in spans if span[0] <= node.lineno <= span[1]]
-            found.append((max(inner)[2] if inner else None, node.lineno))
+            found.append((within(node.lineno), node.lineno))
     return sorted(found, key=lambda use: use[1])
 
 
@@ -307,8 +318,7 @@ def pair_walks(tree):
     """(function, line) of each loop, or comprehension clause, over the
     bundles that runs inside another loop or clause: a walk over (agent,
     bundle) pairs. `function` is the innermost enclosing def."""
-    spans = [(fn.lineno, fn.end_lineno, fn.name) for fn in ast.walk(tree)
-             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    within = enclosing(tree)
     inner = set()  # ids of nodes that run inside some loop
     for loop in ast.walk(tree):
         if isinstance(loop, (ast.For, ast.AsyncFor, ast.While)):
@@ -324,9 +334,7 @@ def pair_walks(tree):
     for node in ast.walk(tree):
         if (isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension))
                 and id(node) in inner and over_bundles(node.iter)):
-            line = node.iter.lineno
-            within = [span for span in spans if span[0] <= line <= span[1]]
-            found.append((max(within)[2] if within else None, line))
+            found.append((within(node.iter.lineno), node.iter.lineno))
     return sorted(found, key=lambda walk: walk[1])
 
 
@@ -400,6 +408,44 @@ def test_view_is_made_of_tuples():
             assert (type(entry), type(denom), type(ints), type(order)) == (
                 tuple, int, tuple, tuple)
             assert all(type(x) is int for x in ints + order)
+
+
+def attribute_reads(tree, attr):
+    """(function, line) of every read of attribute `attr`, on any object; a
+    bare name, an assignment and an import do not count. `function` is the
+    innermost enclosing def, or None at module level."""
+    within = enclosing(tree)
+    return sorted(((within(node.lineno), node.lineno) for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr == attr
+                   and isinstance(node.ctx, ast.Load)),
+                  key=lambda use: use[1])
+
+
+def test_attribute_reads_are_detected():
+    tree = ast.parse("from m import valuations\n"
+                     "def naive(inst):\n"
+                     "    return inst.valuations[0]\n"
+                     "def build(self, valuations):\n"
+                     "    self.valuations = valuations\n"
+                     "def outer(inst):\n"
+                     "    def inner():\n"
+                     "        return len(inst.valuations)\n"
+                     "    return inner\n"
+                     "rows = m.Instance.valuations\n")
+    assert attribute_reads(tree, "valuations") == [("naive", 3), ("inner", 8),
+                                                   (None, 10)]
+
+
+def test_fraction_rows_have_two_readers_outside_core():
+    # every other sum reads the integer view; the allocator keeps its
+    # running sums on Fraction rows until it moves onto the view, and the
+    # naive share oracle cross-checks the integer kernel on Fractions
+    users = [(path.name, fn) for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "core.py"
+             for fn, _ in attribute_reads(ast.parse(path.read_text(encoding="utf-8")),
+                                          "valuations")]
+    assert users == [("algorithms.py", "efl_allocate"),
+                     ("maximin.py", "maximin_share_naive")]
 
 
 def distinct_users(files, name):
