@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence
 
 from .core import (Allocation, BudgetError, Bundle, InputError, Instance,
                    _check_int, _is_json_int, _quote)
-from .fairness import _efx_hit, _envied, _own_values
+from .fairness import _checked, _efx_hit, _envied, _own_values
 from .maximin import _beating_groups, _lpt_seed, _restricted_growth
 
 
@@ -29,14 +29,11 @@ class EnvyGraph:
 
     @staticmethod
     def from_allocation(instance: Instance, bundles: Sequence[Bundle]) -> "EnvyGraph":
-        """The envy graph of `bundles`, which must be an allocation of
-        `instance` (else InputError, as from Allocation.validate): the one
-        checked entry of the envy-graph family. Its sums read the integer
-        view, where each agent's row is scaled by her own D > 0, so each
-        of her comparisons, and hence every edge, is the one on Fractions."""
-        Allocation(tuple(bundles)).validate(instance)
-        rows = [ints for _, ints, _ in instance._units]
-        envied = _envied(rows, bundles, _own_values(rows, bundles))
+        """The envy graph of a possibly partial allocation (fairness._checked).
+        Each agent's row in the integer view is scaled by her own D > 0, so
+        every edge is the one on Fractions."""
+        rows, own = _checked(instance, Allocation(tuple(bundles)), complete=False)
+        envied = _envied(rows, bundles, own)
         return EnvyGraph(instance.num_agents, frozenset((i, j) for i, j, _ in envied))
 
     def sources(self) -> List[int]:
@@ -85,29 +82,44 @@ def build_envy_graph(instance: Instance, allocation: Allocation) -> EnvyGraph:
 
 
 def _rotate_cycle(per_agent: list, cycle: List[int]) -> None:
-    """Give every agent on the cycle her successor's entry, in place. On the
-    bundles, each agent gets the bundle she envies, so her value strictly
-    rises and the edge count drops; any other per-agent list (such as each
-    bundle's last good) moves with its bundle by the same call."""
+    """Give every agent on the cycle her successor's entry, in place."""
     moved = [per_agent[cycle[(a + 1) % len(cycle)]] for a in range(len(cycle))]
     for agent, entry in zip(cycle, moved):
         per_agent[agent] = entry
 
 
+def _rotate_first_cycle(rows, bundles, own, *riders) -> bool:
+    """Rotate the envy graph's first cycle, or return False if it has none,
+    without building the graph: _first_cycle walks each agent's envied
+    bundles (_envied) only as far as it goes. Each agent on the cycle takes
+    the bundle she envies, and as own[i] the sum the walk made for it; each
+    rider list (such as each bundle's last good) moves with its bundle."""
+    gain = [0] * len(rows)  # agent i's value of the last bundle envied_by(i) gave
+
+    def envied_by(i):
+        for _, j, value in _envied(rows, bundles, own, (i,)):
+            gain[i] = value
+            yield j
+
+    cycle = _first_cycle(len(rows), envied_by)
+    if cycle is None:
+        return False
+    for per_agent in (bundles, *riders):
+        _rotate_cycle(per_agent, cycle)
+    for i in cycle:
+        own[i] = gain[i]
+    return True
+
+
 def resolve_envy_cycles(instance: Instance, allocation: Allocation) -> Allocation:
     """Rotate bundles along envy cycles until the envy graph is acyclic.
-
     Per-agent values never decrease, and the bundle multiset is preserved.
-    Each round's graph is built, and the allocation checked, by
-    EnvyGraph.from_allocation.
-    """
+    The allocation may be partial; it is checked once (fairness._checked)."""
+    rows, own = _checked(instance, allocation, complete=False)
     bundles = list(allocation.bundles)
-    while True:
-        graph = EnvyGraph.from_allocation(instance, bundles)
-        cycle = graph.find_cycle()
-        if cycle is None:
-            return Allocation(tuple(bundles))
-        _rotate_cycle(bundles, cycle)
+    while _rotate_first_cycle(rows, bundles, own):
+        pass
+    return Allocation(tuple(bundles))
 
 
 @dataclass(frozen=True)
@@ -184,19 +196,16 @@ def efl_allocate(instance: Instance, policy: Optional[TieBreakPolicy] = None,
     good (and hence at least half of every groupwise share).
 
     Loop: hand an unenvied agent her highest-valued remaining good. Envy
-    cycles are rotated away lazily, only when no unenvied agent is left;
-    resolving after the final pick would permute bundles without improving
-    any guarantee, and deferring keeps the algorithm's worst-case traces
+    cycles are rotated away lazily (_rotate_first_cycle, as in
+    resolve_envy_cycles), only when no unenvied agent is left; resolving
+    after the final pick would permute bundles without improving any
+    guarantee, and deferring keeps the algorithm's worst-case traces
     reachable under scripted tie-breaking. A step needs only the
     lowest-index unenvied agent, so it walks the columns of the envy
-    matrix (_first_unenvied). The envy graph is never built: when no agent
-    is unenvied, the cycle to rotate is the envy graph's first cycle, found
-    by the same depth-first search (_first_cycle) over each agent's envied
-    bundles, which are summed only as the search reaches them (_envied).
+    matrix (_first_unenvied).
 
     The loop keeps what it already knows. Own values are running sums: a
-    pick adds its good, and a rotation gives each agent on the cycle the
-    value the search summed for the bundle she takes. Each bundle
+    pick adds its good, and a rotation sets them on its cycle. Each bundle
     remembers the first envier its column walk found, and the walk skips a
     bundle whose envier is set. Between rotations an agent's own value
     changes only when she picks, and a bundle only grows, so an envier
@@ -218,24 +227,12 @@ def efl_allocate(instance: Instance, policy: Optional[TieBreakPolicy] = None,
     own = [0] * n
     cursor = [0] * n  # each agent's place in her preference order
     remaining = set(range(m))
-    gain = [0] * n  # agent i's value of the last bundle envied_by(i) gave
-
-    def envied_by(i):
-        for _, j, value in _envied(rows, bundles, own, (i,)):
-            gain[i] = value
-            yield j
-
     for step in range(m):
         agent = _first_unenvied(rows, bundles, own, range(n), envier)
         rotations = 0
         while agent is None:
-            cycle = _first_cycle(n, envied_by)
-            if cycle is None:
+            if not _rotate_first_cycle(rows, bundles, own, last_good):
                 raise AssertionError("sourceless envy graph must contain a cycle")
-            _rotate_cycle(bundles, cycle)
-            _rotate_cycle(last_good, cycle)
-            for i in cycle:
-                own[i] = gain[i]
             envier = [None] * n
             agent = _first_unenvied(rows, bundles, own, range(n), envier)
             rotations += 1

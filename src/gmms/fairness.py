@@ -5,7 +5,8 @@ witness whose inequality re-evaluates exactly as reported. Each check is
 one of two walks on the integer view ``Instance._units``: EF, EF1, EFX and
 EFL test each envied pair of the lazy walk ``_envied`` (``_pair_violation``),
 and MMS, PMMS, k-wise and GMMS run the group walker from each agent's own
-value (``_group_violation``). Only a witness is made of Fractions.
+value (``_group_violation``), on rows and own values from the one checked
+entry ``_checked``. Only a witness is made of Fractions.
 """
 
 from __future__ import annotations
@@ -78,6 +79,15 @@ def _own_values(rows, bundles):
     return [sum(map(row.__getitem__, b)) for row, b in zip(rows, bundles)]
 
 
+def _checked(instance: Instance, allocation: Allocation, complete=True):
+    """The package's one check of a given allocation (Allocation.validate,
+    complete unless complete=False), then (rows, own): each agent's integer
+    row (core.Instance._units) and her own bundle's value in its units."""
+    allocation.validate(instance, require_complete=complete)
+    rows = [ints for _, ints, _ in instance._units]
+    return rows, _own_values(rows, allocation.bundles)
+
+
 def _envied(rows, bundles, own, agents=None):
     """(i, j, value), agent-major with bundles in order, for each bundle j
     that agent i values strictly above own[i], in the units of rows[i].
@@ -100,15 +110,12 @@ def _pair_violation(instance: Instance, allocation: Allocation,
     Violation; test(row, own, value, bundle) gets agent i's integer row
     (see core.Instance._units), own and bundle values, and bundle j's goods
     ascending, and returns (good, rhs) for a violation, else None."""
-    allocation.validate(instance, require_complete=True)
-    units = instance._units
-    rows = [ints for _, ints, _ in units]
+    rows, own = _checked(instance, allocation)
     bundles = [sorted(b) for b in allocation.bundles]
-    own = _own_values(rows, bundles)
     for i, j, value in _envied(rows, bundles, own):
         hit = test(rows[i], own[i], value, bundles[j])
         if hit is not None:
-            denom = units[i][0]
+            denom = instance._units[i][0]
             return Violation(i, (j,), good=hit[0], lhs=Fraction(own[i], denom),
                              rhs=Fraction(hit[1], denom))
     return None
@@ -173,11 +180,14 @@ def is_efl(instance: Instance, allocation: Allocation) -> FairnessReport:
 def _group_violation(instance: Instance, allocation: Allocation,
                      size: Optional[int] = None) -> Optional[Violation]:
     """First agent and group (of `size`, or of any size) whose pooled share
-    exceeds the agent's own value, searched in her integer units (see
-    core.Instance._units) in optimisation form from the own value, so one
-    search gives the share and the witness maximin_share would give. Only
-    groups whose bundles she values above her own on average are pooled."""
-    own = _own_values([u[1] for u in instance._units], allocation.bundles)
+    exceeds the agent's own value, searched in her integer units in
+    optimisation form from the own value, so one search gives the share
+    and the witness maximin_share would give. Only groups whose bundles
+    she values above her own on average are pooled. `size` is checked as k,
+    after the allocation."""
+    _, own = _checked(instance, allocation)
+    if size is not None:
+        _check_int("k", size, 1, instance.num_agents)
     for i, (denom, ints, order) in enumerate(instance._units):
         for group, value, witness in _beating_groups(
                 ints, order, allocation.bundles, i, own[i], size):
@@ -189,17 +199,14 @@ def _group_violation(instance: Instance, allocation: Allocation,
 def is_mms(instance: Instance, allocation: Allocation) -> FairnessReport:
     """Every agent's bundle clears her grand-bundle maximin share: the group
     check at size n, whose only group pools every bundle."""
-    allocation.validate(instance, require_complete=True)
     witness = _group_violation(instance, allocation, instance.num_agents)
-    if witness is None:
-        return FairnessReport(Notion.MMS, True)
-    return FairnessReport(Notion.MMS, False, replace(witness, other=None))
+    return _report(Notion.MMS, witness and replace(witness, other=None))
 
 
 def is_pmms(instance: Instance, allocation: Allocation) -> FairnessReport:
-    """Every agent clears her 2-part share over her own plus any other bundle."""
-    allocation.validate(instance, require_complete=True)
-    witness = _group_violation(instance, allocation, 2)
+    """Every agent clears her 2-part share over her own plus any other bundle
+    (a lone agent has none: her 1-part share is her own value)."""
+    witness = _group_violation(instance, allocation, min(2, instance.num_agents))
     if witness is None:
         return FairnessReport(Notion.PMMS, True)
     other = tuple(j for j in witness.other if j != witness.agent)
@@ -208,8 +215,6 @@ def is_pmms(instance: Instance, allocation: Allocation) -> FairnessReport:
 
 def is_kwise_fair(instance: Instance, allocation: Allocation, k: int) -> FairnessReport:
     """Every agent clears her k-part share over every size-k group's pool."""
-    allocation.validate(instance, require_complete=True)
-    _check_int("k", k, 1, instance.num_agents)
     return _report(Notion.KWISE, _group_violation(instance, allocation, k), k)
 
 
@@ -219,7 +224,6 @@ def is_gmms(instance: Instance, allocation: Allocation) -> FairnessReport:
     Groups with empty-bundle co-members are skipped: the reduced group pools
     the same goods into fewer parts, so its share dominates.
     """
-    allocation.validate(instance, require_complete=True)
     return _report(Notion.GMMS, _group_violation(instance, allocation))
 
 
@@ -229,9 +233,8 @@ def gmms_factor(instance: Instance, allocation: Allocation) -> Optional[Fraction
     Returns None for +infinity (every threshold is zero): the allocation is
     alpha-fair for every alpha.
     """
-    allocation.validate(instance, require_complete=True)
+    _, own = _checked(instance, allocation)
     factor: Optional[Fraction] = None
-    own = _own_values([u[1] for u in instance._units], allocation.bundles)
     # the threshold and the own value share agent i's units, so their ratio
     # is the ratio of the two integers
     for i, (_, ints, order) in enumerate(instance._units):

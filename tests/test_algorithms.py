@@ -50,8 +50,9 @@ def test_envy_graph_no_edges_when_happy():
     [[True], [0]],  # a bool is no good index, though True == 1
 ])
 def test_envy_graph_family_checks_the_allocation(lists):
-    # from_allocation is the family's one checked entry: each entry point
-    # refuses what Allocation.validate refuses, with its message
+    # the family's entry points reach the package's one checked entry,
+    # fairness._checked: each refuses what Allocation.validate refuses,
+    # with its message
     inst = Instance.from_rows([[2, 1], [1, 2]])
     alloc = Allocation.from_lists(lists)
     with pytest.raises(InputError) as expected:
@@ -319,8 +320,8 @@ def count_calls(monkeypatch, name):
 
 def test_efl_matches_full_graph_allocator(monkeypatch):
     # same allocations, debug runs included; the allocator builds no graph,
-    # and searches for a cycle only for each rotation, at a step with no
-    # unenvied agent
+    # and its rotation step searches for a cycle only for each rotation, at
+    # a step with no unenvied agent
     builds = count_graph_builds(monkeypatch)
     searches = count_calls(monkeypatch, "_first_cycle")
     rng = random.Random(71)
@@ -332,8 +333,8 @@ def test_efl_matches_full_graph_allocator(monkeypatch):
         searches.clear()
         assert efl_outcome(efl_allocate, inst, debug=small) == expected
         assert builds == []
-        assert searches == Counter(efl_allocate=sum(r for _, r in log))
-        rotations += searches["efl_allocate"]
+        assert searches == Counter(_rotate_first_cycle=sum(r for _, r in log))
+        rotations += searches["_rotate_first_cycle"]
         swept += 1
     assert swept == 8 * 31 * 3
     assert rotations > 0
@@ -438,6 +439,40 @@ def test_envy_graph_matches_fraction_rows():
     assert cycles > 400
 
 
+def test_resolve_rotates_without_graph_builds(monkeypatch):
+    # cycle resolution checks the allocation once, then loops on the
+    # allocator's rotation step: no envy graph, and one cycle search per
+    # rotation, plus the one that finds no cycle
+    builds = count_graph_builds(monkeypatch)
+    searches = count_calls(monkeypatch, "_first_cycle")
+    rotations = count_calls(monkeypatch, "_rotate_cycle")
+    checks, real = [], Allocation.validate
+
+    def counted(self, *args, **kw):
+        checks.append(1)
+        return real(self, *args, **kw)
+
+    monkeypatch.setattr(Allocation, "validate", counted)
+    rng = random.Random(83)
+    resolved = rotated = 0
+    for inst, _ in efl_sweep_instances(rng):
+        for low in (-1, 0):
+            alloc = random_allocation(rng, inst.num_agents, inst.num_goods, low)
+            searches.clear()
+            rotations.clear()
+            del checks[:]
+            resolve_envy_cycles(inst, alloc)
+            assert builds == []
+            assert set(rotations) <= {"_rotate_first_cycle"}
+            assert searches == {"_rotate_first_cycle":
+                                rotations["_rotate_first_cycle"] + 1}
+            assert checks == [1]
+            resolved += 1
+            rotated += rotations["_rotate_first_cycle"]
+    assert resolved == 8 * 31 * 3 * 2
+    assert rotated > 400
+
+
 def test_pick_sums_pinned(pair_sums, monkeypatch):
     # bundle sums made by the allocator's picks, which skip a bundle whose
     # remembered envier still holds; the full envy graph made n(n-1) at
@@ -469,7 +504,7 @@ def test_graph_builds_pinned(monkeypatch):
     for inst in instances:
         efl_allocate(inst)
     assert builds == []
-    assert searches == {"efl_allocate": 2}
+    assert searches == {"_rotate_first_cycle": 2}
     assert own_sums == {}
     efl_allocate(generate(GenSpec(20, 200, "uniform", False, 1)))
     assert own_sums == {}
@@ -482,7 +517,7 @@ def test_rotation_sums_pinned(envied_sums, monkeypatch):
     searches = count_calls(monkeypatch, "_first_cycle")
     inst = generate(GenSpec(20, 200, "gaussian", True, 1))
     _, sums = envied_sums(lambda: efl_allocate(inst))
-    assert searches == {"efl_allocate": 34}
+    assert searches == {"_rotate_first_cycle": 34}
     assert sums == 6327 and sums < 34 * 20 * 19
 
 

@@ -9,7 +9,7 @@ from gmms import (Allocation, InputError, Instance, bundle_value, gmms_factor,
                   is_ef1, is_efl, is_efx, is_envy_free, is_gmms,
                   is_kwise_fair, is_mms, is_pmms, maximin_share,
                   gmms_threshold, maximin_share_naive)
-from gmms.fairness import FairnessReport, Notion, Violation
+from gmms.fairness import CHECKERS, FairnessReport, Notion, Violation
 from gmms.generator import (efl_tight, kwise_boundary, mms_not_ef1,
                             mms_not_gmms, single_good_two_agents)
 
@@ -155,13 +155,33 @@ def test_gmms_equivalent_to_all_kwise():
 
 
 def test_checkers_reject_partial_allocations():
+    # every checked entry refuses what Allocation.validate refuses for a
+    # complete allocation, with its message
     inst = Instance.from_rows([[1, 1], [1, 1]])
-    partial = Allocation.from_lists([[0], []])
-    for checker in (is_envy_free, is_ef1, is_efx, is_efl, is_mms, is_pmms, is_gmms):
-        with pytest.raises(InputError):
-            checker(inst, partial)
-    with pytest.raises(InputError):
-        gmms_factor(inst, partial)
+    for lists in ([[0], []],  # partial
+                  [[0, 1]],  # one bundle short
+                  [[0], [1, 2]],  # good 2 is past the last good
+                  [[True], [0]]):  # a bool is no good index, though True == 1
+        alloc = Allocation.from_lists(lists)
+        with pytest.raises(InputError) as expected:
+            alloc.validate(inst, require_complete=True)
+        calls = [lambda checker=checker: checker(inst, alloc)
+                 for checker in CHECKERS.values()]
+        calls += [lambda: is_kwise_fair(inst, alloc, 1),
+                  lambda: gmms_factor(inst, alloc),
+                  lambda: gmms_threshold(inst, alloc, 0)]
+        for call in calls:
+            with pytest.raises(InputError) as caught:
+                call()
+            assert str(caught.value) == str(expected.value), lists
+
+
+def test_kwise_reports_the_allocation_before_k():
+    inst = Instance.from_rows([[1, 1], [1, 1]])
+    with pytest.raises(InputError, match="^allocation is not complete$"):
+        is_kwise_fair(inst, Allocation.from_lists([[0], []]), 0)
+    with pytest.raises(InputError, match=r"^k must be in \[1, 2\], got 0$"):
+        is_kwise_fair(inst, Allocation.from_lists([[0], [1]]), 0)
 
 
 def test_violation_witnesses_reevaluate():

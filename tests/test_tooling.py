@@ -6,8 +6,9 @@ tuples per instance, which every sum outside core reads but the
 allocator's and the naive share oracle's, it reaches the share kernel, the
 group loop, the LPT seed and the EFX test each through its own doors, it
 walks envied pairs in one place and the allocator's pick in another, it
-searches for an envy cycle in one place, and the share kernel's search
-loop makes no call into its own module."""
+searches for and rotates an envy cycle in one place each, it checks an
+allocation given to it in one place, and the share kernel's search loop
+makes no call into its own module."""
 
 import ast
 import dataclasses
@@ -379,12 +380,17 @@ def test_envied_pairs_have_one_walk():
 
 
 def test_cycle_search_has_two_users():
-    # one depth-first cycle search serves the envy graph and the
-    # allocator's rotations, which walk envied bundles lazily in its place;
-    # the allocator never builds the graph
+    # one depth-first cycle search serves the envy graph and the one
+    # rotation step, which walks envied bundles lazily in its place; the
+    # allocator and cycle resolution rotate through that step and never
+    # build the graph
     assert package_users("_first_cycle") == [("algorithms.py", "find_cycle"),
-                                             ("algorithms.py", "efl_allocate")]
-    assert ("algorithms.py", "efl_allocate") not in package_users("EnvyGraph")
+                                             ("algorithms.py", "_rotate_first_cycle")]
+    assert package_users("_rotate_first_cycle") == [
+        ("algorithms.py", "resolve_envy_cycles"), ("algorithms.py", "efl_allocate")]
+    graph_users = package_users("EnvyGraph")
+    for fn in ("_rotate_first_cycle", "resolve_envy_cycles", "efl_allocate"):
+        assert ("algorithms.py", fn) not in graph_users
 
 
 def test_rows_are_scaled_only_by_the_view():
@@ -476,3 +482,16 @@ def test_pick_walk_has_one_caller():
              for path in sorted(PACKAGE.glob("*.py"))]
     assert distinct_users(files, "_first_unenvied") == [("algorithms.py",
                                                          "efl_allocate")]
+
+
+def test_allocation_is_checked_in_one_place():
+    # every entry point that takes an allocation reaches fairness._checked,
+    # which validates it and gives its integer rows and own values, so a
+    # composed call checks once; the CLI checks a loaded file itself, to
+    # name the file in its error, and maximin cannot import fairness
+    users = [(path.name, fn) for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "core.py"
+             for fn, _ in attribute_reads(ast.parse(path.read_text(encoding="utf-8")),
+                                          "validate")]
+    assert users == [("cli.py", "_load"), ("fairness.py", "_checked"),
+                     ("maximin.py", "gmms_threshold")]
