@@ -11,8 +11,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .core import (Allocation, BudgetError, Bundle, InputError, Instance,
-                   _check_int, _is_json_int, _quote)
-from .fairness import _checked, _efx_hit, _envied, _own_values
+                   _check_int, _checked, _is_json_int, _own_values, _quote)
+from .fairness import _efx_hit, _envied
 from .maximin import _beating_groups, _lpt_seed, _restricted_growth
 
 
@@ -29,7 +29,7 @@ class EnvyGraph:
 
     @staticmethod
     def from_allocation(instance: Instance, bundles: Sequence[Bundle]) -> "EnvyGraph":
-        """The envy graph of a possibly partial allocation (fairness._checked).
+        """The envy graph of a possibly partial allocation (core._checked).
         Each agent's row in the integer view is scaled by her own D > 0, so
         every edge is the one on Fractions."""
         rows, own = _checked(instance, Allocation(tuple(bundles)), complete=False)
@@ -88,12 +88,12 @@ def _rotate_cycle(per_agent: list, cycle: List[int]) -> None:
         per_agent[agent] = entry
 
 
-def _rotate_first_cycle(rows, bundles, own, *riders) -> bool:
+def _rotate_first_cycle(rows, bundles, own) -> bool:
     """Rotate the envy graph's first cycle, or return False if it has none,
     without building the graph: _first_cycle walks each agent's envied
     bundles (_envied) only as far as it goes. Each agent on the cycle takes
-    the bundle she envies, and as own[i] the sum the walk made for it; each
-    rider list (such as each bundle's last good) moves with its bundle."""
+    the bundle she envies, whole, and as own[i] the sum the walk made for
+    it."""
     gain = [0] * len(rows)  # agent i's value of the last bundle envied_by(i) gave
 
     def envied_by(i):
@@ -104,8 +104,7 @@ def _rotate_first_cycle(rows, bundles, own, *riders) -> bool:
     cycle = _first_cycle(len(rows), envied_by)
     if cycle is None:
         return False
-    for per_agent in (bundles, *riders):
-        _rotate_cycle(per_agent, cycle)
+    _rotate_cycle(bundles, cycle)
     for i in cycle:
         own[i] = gain[i]
     return True
@@ -114,7 +113,7 @@ def _rotate_first_cycle(rows, bundles, own, *riders) -> bool:
 def resolve_envy_cycles(instance: Instance, allocation: Allocation) -> Allocation:
     """Rotate bundles along envy cycles until the envy graph is acyclic.
     Per-agent values never decrease, and the bundle multiset is preserved.
-    The allocation may be partial; it is checked once (fairness._checked)."""
+    The allocation may be partial; it is checked once (core._checked)."""
     rows, own = _checked(instance, allocation, complete=False)
     bundles = list(allocation.bundles)
     while _rotate_first_cycle(rows, bundles, own):
@@ -204,8 +203,11 @@ def efl_allocate(instance: Instance, policy: Optional[TieBreakPolicy] = None,
     lowest-index unenvied agent, so it walks the columns of the envy
     matrix (_first_unenvied).
 
-    The loop keeps what it already knows. Own values are running sums: a
-    pick adds its good, and a rotation sets them on its cycle. Each bundle
+    The loop keeps what it already knows. Each bundle is a list of goods
+    in the order they were picked, so its most recent good is its last
+    entry and moves with it through every rotation; the frozensets are
+    built once, in the result. Own values are running sums: a pick adds
+    its good, and a rotation sets them on its cycle. Each bundle
     remembers the first envier its column walk found, and the walk skips a
     bundle whose envier is set. Between rotations an agent's own value
     changes only when she picks, and a bundle only grows, so an envier
@@ -216,13 +218,12 @@ def efl_allocate(instance: Instance, policy: Optional[TieBreakPolicy] = None,
     the goods already taken; once she values no remaining good, she takes
     the lowest-index one. ``debug`` checks the last-good envy bound, the
     running own values and every remembered envier at each step, on sums
-    made afresh.
+    made afresh (_assert_loop_invariants).
     """
     n, m = instance.num_agents, instance.num_goods
     rows = instance.valuations
     orders = [order for _, _, order in instance._units]
-    bundles: List[Bundle] = [frozenset()] * n
-    last_good: List[Optional[int]] = [None] * n
+    bundles: List[List[int]] = [[] for _ in range(n)]  # goods in pick order
     envier: List[Optional[int]] = [None] * n  # bundle j's remembered envier
     own = [0] * n
     cursor = [0] * n  # each agent's place in her preference order
@@ -231,7 +232,7 @@ def efl_allocate(instance: Instance, policy: Optional[TieBreakPolicy] = None,
         agent = _first_unenvied(rows, bundles, own, range(n), envier)
         rotations = 0
         while agent is None:
-            if not _rotate_first_cycle(rows, bundles, own, last_good):
+            if not _rotate_first_cycle(rows, bundles, own):
                 raise AssertionError("sourceless envy graph must contain a cycle")
             envier = [None] * n
             agent = _first_unenvied(rows, bundles, own, range(n), envier)
@@ -262,34 +263,26 @@ def efl_allocate(instance: Instance, policy: Optional[TieBreakPolicy] = None,
                         f"step {step}: scripted good {scripted} is not a "
                         f"highest-valued remaining good for agent {agent}")
                 good = scripted
-        bundles[agent] = bundles[agent] | {good}
-        last_good[agent] = good
+        bundles[agent].append(good)
         own[agent] += row[good]
         remaining.discard(good)
         envier = [None if i == agent else i for i in envier]
         if debug:
-            _assert_ef1_wrt_last(instance, bundles, last_good)
-            _assert_enviers_envy(rows, bundles, own, envier)
-    return Allocation(tuple(bundles))
+            _assert_loop_invariants(rows, bundles, own, envier)
+    return Allocation(tuple(map(frozenset, bundles)))
 
 
-def _assert_ef1_wrt_last(instance, bundles, last_good):
-    """Loop invariant: dropping the most recent good of any envied bundle
-    kills the envy (an envied bundle is never empty). On the integer
-    view: both sides of each test are in the envious agent's units."""
-    rows = [ints for _, ints, _ in instance._units]
-    own = _own_values(rows, bundles)
-    for r, s, value in _envied(rows, bundles, own):
-        if own[r] < value - rows[r][last_good[s]]:
+def _assert_loop_invariants(rows, bundles, own, envier):
+    """The allocator's loop invariants, on one fresh sum of the own values,
+    for bundles that list their goods in pick order: dropping the most
+    recent good of any envied bundle kills the envy (an envied bundle is
+    never empty); every running own value is its bundle's value; and every
+    remembered envier still envies her bundle."""
+    fresh = _own_values(rows, bundles)
+    for r, s, value in _envied(rows, bundles, fresh):
+        if fresh[r] < value - rows[r][bundles[s][-1]]:
             raise AssertionError(
                 f"partial allocation lost the last-good envy bound ({r} vs {s})")
-
-
-def _assert_enviers_envy(rows, bundles, own, envier):
-    """Loop invariants, on sums made afresh: every running own value is
-    its bundle's value, and every remembered envier still envies her
-    bundle."""
-    fresh = _own_values(rows, bundles)
     for i, (kept, value) in enumerate(zip(own, fresh)):
         if kept != value:
             raise AssertionError(

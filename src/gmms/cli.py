@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("allocation")
     p.add_argument("--notion", required=True,
-                   choices=["ef", "ef1", "efx", "efl", "mms", "pmms", "kwise", "gmms"])
+                   choices=[notion.value.lower() for notion in fairness.Notion])
     p.add_argument("--k", type=int, help="group size for --notion kwise")
     p.set_defaults(func=cmd_check)
 

@@ -5,7 +5,8 @@ library ever rounds. Instances and allocations are immutable and safe to share
 across workers: an instance's one private integer view of its rows
 (``Instance._units``) is built on first use, cached, and made of tuples, so
 no reader can change what another reads; it takes no part in ``==``,
-``hash`` or ``repr``.
+``hash`` or ``repr``. ``_checked`` is the package's one check of an
+allocation given to it, and hands back the view's rows and own values.
 """
 
 from __future__ import annotations
@@ -207,6 +208,20 @@ class Allocation:
             check_bundle(instance, b)
         if require_complete and not self.is_complete(instance.num_goods):
             raise InputError("allocation is not complete")
+
+
+def _own_values(rows, bundles):
+    """Each agent's value of her own bundle, in the units of her row."""
+    return [sum(map(row.__getitem__, b)) for row, b in zip(rows, bundles)]
+
+
+def _checked(instance: Instance, allocation: Allocation, complete=True):
+    """The package's one check of a given allocation (Allocation.validate,
+    complete unless complete=False), then (rows, own): each agent's integer
+    row (Instance._units) and her own bundle's value in its units."""
+    allocation.validate(instance, require_complete=complete)
+    rows = [ints for _, ints, _ in instance._units]
+    return rows, _own_values(rows, allocation.bundles)
 
 
 @lru_cache(maxsize=64)

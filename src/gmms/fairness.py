@@ -5,8 +5,8 @@ witness whose inequality re-evaluates exactly as reported. Each check is
 one of two walks on the integer view ``Instance._units``: EF, EF1, EFX and
 EFL test each envied pair of the lazy walk ``_envied`` (``_pair_violation``),
 and MMS, PMMS, k-wise and GMMS run the group walker from each agent's own
-value (``_group_violation``), on rows and own values from the one checked
-entry ``_checked``. Only a witness is made of Fractions.
+value (``_group_violation``), on rows and own values from the package's one
+checked entry ``core._checked``. Only a witness is made of Fractions.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .core import Allocation, Instance, _check_int
+from .core import Allocation, Instance, _check_int, _checked
 from .maximin import _beating_groups, _threshold_units
 
 
@@ -72,20 +72,6 @@ class FairnessReport:
 def _report(notion: Notion, witness: Optional[Violation], k=None) -> FairnessReport:
     """The report of a check whose first violation is `witness` (None: holds)."""
     return FairnessReport(notion, witness is None, witness, k)
-
-
-def _own_values(rows, bundles):
-    """Each agent's value of her own bundle, in the units of her row."""
-    return [sum(map(row.__getitem__, b)) for row, b in zip(rows, bundles)]
-
-
-def _checked(instance: Instance, allocation: Allocation, complete=True):
-    """The package's one check of a given allocation (Allocation.validate,
-    complete unless complete=False), then (rows, own): each agent's integer
-    row (core.Instance._units) and her own bundle's value in its units."""
-    allocation.validate(instance, require_complete=complete)
-    rows = [ints for _, ints, _ in instance._units]
-    return rows, _own_values(rows, allocation.bundles)
 
 
 def _envied(rows, bundles, own, agents=None):
@@ -207,10 +193,8 @@ def is_pmms(instance: Instance, allocation: Allocation) -> FairnessReport:
     """Every agent clears her 2-part share over her own plus any other bundle
     (a lone agent has none: her 1-part share is her own value)."""
     witness = _group_violation(instance, allocation, min(2, instance.num_agents))
-    if witness is None:
-        return FairnessReport(Notion.PMMS, True)
-    other = tuple(j for j in witness.other if j != witness.agent)
-    return FairnessReport(Notion.PMMS, False, replace(witness, other=other))
+    return _report(Notion.PMMS, witness and replace(
+        witness, other=tuple(j for j in witness.other if j != witness.agent)))
 
 
 def is_kwise_fair(instance: Instance, allocation: Allocation, k: int) -> FairnessReport:

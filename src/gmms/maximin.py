@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import Allocation, Bundle, InputError, Instance, _check_int, check_bundle
+from .core import (Allocation, Bundle, InputError, Instance, _check_int, _checked,
+                   check_bundle)
 
 NAIVE_GOODS_LIMIT = 14
 
@@ -348,7 +349,7 @@ def gmms_threshold(instance: Instance, allocation: Allocation, agent: int) -> Gm
     group is the first group reaching the maximum. Groups containing
     another agent with an empty bundle are skipped (see _beating_groups).
     """
-    allocation.validate(instance, require_complete=True)
+    _checked(instance, allocation)
     denom, ints, order = _agent_ints(instance, agent)
     group, value, witness = _threshold_units(ints, order, allocation.bundles, agent)
     return GmmsThreshold(Fraction(value, denom), group, witness)

@@ -215,14 +215,14 @@ def full_graph_efl_allocate(instance, policy=None, debug=False, pick=min,
     """The allocator as it was before its picks walked columns: it builds
     the whole envy graph at every step and hands the good to pick(sources),
     the lowest unenvied agent by default. Kept as the oracle for
-    allocations, debug runs and policy errors. `log`, when given, gets each
-    step's (sources, rotations)."""
+    allocations, debug runs and policy errors. Its bundles list their goods
+    in pick order, for the debug pass, which it runs on the integer view.
+    `log`, when given, gets each step's (sources, rotations)."""
     n, m = instance.num_agents, instance.num_goods
-    bundles = [frozenset()] * n
-    last_good = [None] * n
+    bundles = [[] for _ in range(n)]
     remaining = set(range(m))
     for step in range(m):
-        graph = EnvyGraph.from_allocation(instance, bundles)
+        graph = EnvyGraph.from_allocation(instance, list(map(frozenset, bundles)))
         sources = graph.sources()
         rotations = 0
         while not sources:
@@ -230,8 +230,7 @@ def full_graph_efl_allocate(instance, policy=None, debug=False, pick=min,
             if cycle is None:
                 raise AssertionError("sourceless envy graph must contain a cycle")
             algorithms._rotate_cycle(bundles, cycle)
-            algorithms._rotate_cycle(last_good, cycle)
-            graph = EnvyGraph.from_allocation(instance, bundles)
+            graph = EnvyGraph.from_allocation(instance, list(map(frozenset, bundles)))
             sources = graph.sources()
             rotations += 1
             if rotations > n * n:
@@ -261,12 +260,14 @@ def full_graph_efl_allocate(instance, policy=None, debug=False, pick=min,
                         f"step {step}: scripted good {scripted} is not a "
                         f"highest-valued remaining good for agent {agent}")
                 good = scripted
-        bundles[agent] = bundles[agent] | {good}
-        last_good[agent] = good
+        bundles[agent].append(good)
         remaining.discard(good)
         if debug:
-            algorithms._assert_ef1_wrt_last(instance, bundles, last_good)
-    return Allocation(tuple(bundles))
+            # the allocator's debug pass, on the integer view's rows
+            rows = [ints for _, ints, _ in instance._units]
+            own = [sum(row[g] for g in b) for row, b in zip(rows, bundles)]
+            algorithms._assert_loop_invariants(rows, bundles, own, [None] * n)
+    return Allocation.from_lists(bundles)
 
 
 def efl_outcome(allocate, instance, **kw):
@@ -809,8 +810,8 @@ def test_lexmax_is_not_bounded_by_recursion_depth():
 
 
 def test_debug_invariant_holds_through_rotations(monkeypatch):
-    # bundles and last goods go through the same rotation; on this instance
-    # a last good left behind by a cycle breaks the debug invariant
+    # a bundle lists its goods in pick order, so its last good goes with it
+    # through each rotation on this instance, and the debug run passes
     from gmms import algorithms
     rotated, real_rotate = [], algorithms._rotate_cycle
 
@@ -825,21 +826,17 @@ def test_debug_invariant_holds_through_rotations(monkeypatch):
 
 
 def test_debug_failure_matches_full_graph_allocator(monkeypatch):
-    # with the last goods left out of every rotation, both allocators fail
+    # with every pick handed to agent 0, envied or not, both allocators fail
     # the debug invariant with the same message
-    real = algorithms._rotate_cycle
-
-    def bundles_only(per_agent, cycle):
-        if all(isinstance(b, frozenset) for b in per_agent):
-            real(per_agent, cycle)
-
-    monkeypatch.setattr(algorithms, "_rotate_cycle", bundles_only)
     inst = Instance.from_rows([[3, 1, 4, 4, 2], [1, 0, 3, 0, 1], [4, 1, 3, 0, 0]])
     messages = []
-    for allocate in (full_graph_efl_allocate, efl_allocate):
-        with pytest.raises(AssertionError, match="last-good envy bound") as info:
-            allocate(inst, debug=True)
-        messages.append(str(info.value))
+    with pytest.raises(AssertionError, match="last-good envy bound") as info:
+        full_graph_efl_allocate(inst, debug=True, pick=lambda sources: 0)
+    messages.append(str(info.value))
+    monkeypatch.setattr(algorithms, "_first_unenvied", lambda *args: 0)
+    with pytest.raises(AssertionError, match="last-good envy bound") as info:
+        efl_allocate(inst, debug=True)
+    messages.append(str(info.value))
     assert messages[0] == messages[1]
 
 
@@ -847,34 +844,28 @@ def test_debug_checks_remembered_enviers():
     # agent 1 envies bundle 0 ({0}, worth 3 to her) while she holds {1}
     # (worth 1), and stops once she holds {1, 2} (worth 4)
     rows = Instance.from_rows([[3, 1, 1], [3, 1, 3]]).valuations
-    algorithms._assert_enviers_envy(
-        rows, [frozenset({0}), frozenset({1})], [3, 1], [1, None])
+    algorithms._assert_loop_invariants(rows, [[0], [1]], [3, 1], [1, None])
     with pytest.raises(AssertionError, match="remembered envier 1 no longer envies bundle 0"):
-        algorithms._assert_enviers_envy(
-            rows, [frozenset({0}), frozenset({1, 2})], [3, 4], [1, None])
+        algorithms._assert_loop_invariants(rows, [[0], [1, 2]], [3, 4], [1, None])
 
 
 def test_debug_checks_running_own_values():
     # agent 1 holds {1, 2} (worth 4 to her); a running own value left at
     # 1, as before her last pick, fails the check before the enviers do
     rows = Instance.from_rows([[3, 1, 1], [3, 1, 3]]).valuations
-    bundles = [frozenset({0}), frozenset({1, 2})]
-    algorithms._assert_enviers_envy(rows, bundles, [3, 4], [None, None])
+    bundles = [[0], [1, 2]]
+    algorithms._assert_loop_invariants(rows, bundles, [3, 4], [None, None])
     with pytest.raises(AssertionError,
                        match="running own value 1 of agent 1 is not her bundle's 4"):
-        algorithms._assert_enviers_envy(rows, bundles, [3, 1], [1, None])
+        algorithms._assert_loop_invariants(rows, bundles, [3, 1], [1, None])
 
 
 def test_debug_invariant_is_checked_under_optimize():
     # `python -O` strips assert statements; the invariant raises explicitly,
-    # so a last good left behind by a cycle still fails the debug run there
+    # so every pick handed to agent 0 still fails the debug run there
     script = (
         "from gmms import Instance, algorithms\n"
-        "real = algorithms._rotate_cycle\n"
-        "def bundles_only(per_agent, cycle):\n"
-        "    if all(isinstance(b, frozenset) for b in per_agent):\n"
-        "        real(per_agent, cycle)\n"
-        "algorithms._rotate_cycle = bundles_only\n"
+        "algorithms._first_unenvied = lambda *args: 0\n"
         "inst = Instance.from_rows([[3, 1, 4, 4, 2], [1, 0, 3, 0, 1], [4, 1, 3, 0, 0]])\n"
         "algorithms.efl_allocate(inst, debug=True)\n")
     src = str(Path(__file__).resolve().parent.parent / "src")

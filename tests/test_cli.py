@@ -105,6 +105,14 @@ def test_solve_efl_writes_allocation(tmp_path, capsys):
     assert "gmms_factor:" in out
 
 
+def test_solve_efl_prints_allocation(tmp_path, capsys):
+    # with no --out, the allocation document goes to stdout before the factor
+    ipath = tmp_path / "i.json"
+    ipath.write_text(serialize_instance(Instance.from_rows([[2, 1], [1, 2]])) + "\n")
+    assert main(["solve-efl", str(ipath)]) == 0
+    assert capsys.readouterr().out == '{"bundles": [[0], [1]]}\ngmms_factor: 1 (1)\n'
+
+
 def assert_one_error_line(captured, path):
     # a usage error: one line naming the file, no traceback, nothing printed
     assert captured.out == ""
@@ -311,6 +319,16 @@ def test_experiment_rows_share_placements_pinned(placements):
     _, placed = placements(rows)
     assert placed == 452
     assert placed < 1379 < 2646
+
+
+def test_experiment_summary_without_finite_factor(capsys):
+    # with no goods every threshold is zero, so no row has a finite factor
+    # and the cell's summary gives counts only
+    assert main(["experiment", "--n-min", "2", "--n-max", "2", "--m-min", "0",
+                 "--m-max", "0", "--count", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "# summary n=2 m=0 count=2 gmms_found=2 gmms_absent=0 budget=0"
+    assert len(lines) == 2 + 2 + 1  # schema, header, rows, one summary
 
 
 def test_experiment_rows_and_summary(capsys):

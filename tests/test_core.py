@@ -120,6 +120,46 @@ def test_allocation_completeness():
     assert Allocation.from_lists([[0], [1, 2]]).is_complete(3)
 
 
+@pytest.mark.parametrize("doc,message", [
+    ('[1, 2]', "instance document must be a JSON object"),
+    ('{"agents": 1, "valuations": [[1]]}', "missing field 'goods'"),
+    ('{"agents": 2, "goods": 1, "valuations": [[1]]}',
+     "field 'valuations' must list 2 rows"),
+])
+def test_parse_instance_rejects_malformed_documents(doc, message):
+    with pytest.raises(ParseError) as info:
+        parse_instance(doc)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("doc,message", [
+    ('[[0], [1]]', "allocation document must be an object with 'bundles'"),
+    ('{"bundles": {"0": [1]}}', "field 'bundles' must be a list"),
+])
+def test_parse_allocation_rejects_malformed_documents(doc, message):
+    with pytest.raises(ParseError) as info:
+        parse_allocation(doc)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("n,m,rows,message", [
+    (2, 1, [[1]], "1 valuation rows for 2 agents"),
+    (2, 2, [[1, 1], [1]], "valuations[1] has length 1, expected 2"),
+])
+def test_instance_rejects_misshapen_rows(n, m, rows, message):
+    vals = tuple(tuple(map(Fraction, row)) for row in rows)
+    with pytest.raises(InputError) as info:
+        Instance(n, m, vals)
+    assert str(info.value) == message
+
+
+def test_allocation_rejects_unfrozen_bundles():
+    for bundle in ({0}, [0]):
+        with pytest.raises(InputError) as info:
+            Allocation((frozenset(), bundle))
+        assert str(info.value) == "bundles[1] is not a frozenset"
+
+
 @pytest.mark.parametrize("doc", [
     '{"agents": true, "goods": 1, "valuations": [[1]]}',
     '{"agents": 1, "goods": true, "valuations": [[1]]}',

@@ -5,8 +5,8 @@ import pytest
 
 from gmms import GenSpec, InputError, fixture, generate
 from gmms.cli import main
-from gmms.generator import (FIXTURES, efl_tight, kwise_boundary, mms_not_ef1,
-                            mms_not_gmms, single_good_two_agents)
+from gmms.generator import (FIXTURES, efl_tight, efl_tight_policy, kwise_boundary,
+                            mms_not_ef1, mms_not_gmms, single_good_two_agents)
 
 
 def test_generate_deterministic():
@@ -78,8 +78,11 @@ def test_spec_validation():
 def test_fixture_dispatch():
     inst, ref = fixture("mms_not_ef1")
     assert inst.num_agents == 3 and ref is not None
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as info:
         fixture("no_such_fixture")
+    assert str(info.value) == (
+        "unknown fixture 'no_such_fixture'; known: ['efl_tight', 'kwise_boundary', "
+        "'mms_not_ef1', 'mms_not_gmms', 'single_good_two_agents']")
     assert set(FIXTURES) == {"single_good_two_agents", "mms_not_ef1",
                              "kwise_boundary", "mms_not_gmms", "efl_tight"}
 
@@ -124,6 +127,9 @@ def test_efl_tight_shape_and_params():
     ref.validate(inst)
     with pytest.raises(InputError):
         efl_tight(1)
+    with pytest.raises(InputError) as info:
+        efl_tight_policy(1)
+    assert str(info.value) == "need n >= 2, got 1"
 
 
 def test_digits_capped_at_double_precision():

@@ -7,8 +7,9 @@ allocator's and the naive share oracle's, it reaches the share kernel, the
 group loop, the LPT seed and the EFX test each through its own doors, it
 walks envied pairs in one place and the allocator's pick in another, it
 searches for and rotates an envy cycle in one place each, it checks an
-allocation given to it in one place, and the share kernel's search loop
-makes no call into its own module."""
+allocation given to it in one place, the share kernel's search loop makes
+no call into its own module, and a slice of the committed equivalence
+sweep keeps its digest."""
 
 import ast
 import dataclasses
@@ -17,6 +18,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from gmms import Instance
+
+import equivalence
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "bench" / "tracing.py"
@@ -374,7 +377,7 @@ def test_envied_pairs_have_one_walk():
     assert package_users("_envied") == [("algorithms.py", None),
                                         ("algorithms.py", "from_allocation"),
                                         ("algorithms.py", "envied_by"),
-                                        ("algorithms.py", "_assert_ef1_wrt_last"),
+                                        ("algorithms.py", "_assert_loop_invariants"),
                                         ("algorithms.py", "leaf_passes"),
                                         ("fairness.py", "_pair_violation")]
 
@@ -485,13 +488,23 @@ def test_pick_walk_has_one_caller():
 
 
 def test_allocation_is_checked_in_one_place():
-    # every entry point that takes an allocation reaches fairness._checked,
+    # every entry point that takes an allocation reaches core._checked,
     # which validates it and gives its integer rows and own values, so a
     # composed call checks once; the CLI checks a loaded file itself, to
-    # name the file in its error, and maximin cannot import fairness
+    # name the file in its error
     users = [(path.name, fn) for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "core.py"
              for fn, _ in attribute_reads(ast.parse(path.read_text(encoding="utf-8")),
                                           "validate")]
-    assert users == [("cli.py", "_load"), ("fairness.py", "_checked"),
-                     ("maximin.py", "gmms_threshold")]
+    assert users == [("cli.py", "_load")]
+
+
+def test_equivalence_slice_pinned():
+    # the committed equivalence sweep (tests/equivalence.py) on its small
+    # slice: the allocator with and without debug and under scripts, the
+    # efl_tight traces, cycle resolution, every PolicyError text, the debug
+    # fault of one agent taking every pick, and gmms_threshold's values and
+    # InputError texts. A change that moves one of these outputs on purpose
+    # re-records the digest, and the full sweep's, and says why
+    assert equivalence.digest(equivalence.records(**equivalence.SLICE)) == (
+        4746, "33109c5ba3ce4b7c67029eed43639693087b838fa62b8f15d1b9726f37875fc6")
